@@ -1,8 +1,7 @@
 //! Serial-vs-parallel wall time for the chunked campaign engine.
 //!
-//! Runs the same replication campaigns through
-//! `run_single_node_campaign_threads` / `run_network_campaign_threads`
-//! at 1, 2, 4, and 8 workers (explicit thread counts, independent of
+//! Runs the same single-node and network replication campaigns through
+//! `supervise::run_campaign` at 1, 2, 4, and 8 workers (explicit thread counts, independent of
 //! `GPS_PAR_THREADS`), so the JSON report pins both the serial baseline
 //! and the parallel speedup on the current host. A final group times the
 //! memory-bounded merged campaign on a million-replication configuration
@@ -17,9 +16,9 @@
 use gps_bench::harness::{black_box, BenchHarness};
 use gps_core::NetworkTopology;
 use gps_sim::runner::{
-    run_network_campaign_threads, run_single_node_campaign_merged_threads,
-    run_single_node_campaign_threads, NetworkRunConfig, SingleNodeRunConfig,
+    run_single_node_campaign_merged_threads, NetworkRunConfig, SingleNodeRunConfig,
 };
+use gps_sim::supervise::{run_campaign, Network, SingleNode, Supervisor};
 use gps_sources::{OnOffSource, SlotSource};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -48,12 +47,17 @@ fn bench_single_node(h: &mut BenchHarness) {
             &format!("single_node_campaign/8x20k_{threads}thread"),
             slots,
             || {
-                black_box(run_single_node_campaign_threads(
-                    threads,
-                    &base,
-                    replications,
-                    |_r| make_sources(),
-                ))
+                black_box(
+                    run_campaign::<SingleNode>(
+                        &base,
+                        0..replications,
+                        |_r| make_sources(),
+                        &Supervisor::new().with_threads(threads),
+                        None,
+                    )
+                    .expect("campaign")
+                    .completed(),
+                )
             },
         );
     }
@@ -75,12 +79,17 @@ fn bench_network(h: &mut BenchHarness) {
             &format!("network_campaign/fig2_8x10k_{threads}thread"),
             slots,
             || {
-                black_box(run_network_campaign_threads(
-                    threads,
-                    &base,
-                    replications,
-                    |_r| make_sources(),
-                ))
+                black_box(
+                    run_campaign::<Network>(
+                        &base,
+                        0..replications,
+                        |_r| make_sources(),
+                        &Supervisor::new().with_threads(threads),
+                        None,
+                    )
+                    .expect("campaign")
+                    .completed(),
+                )
             },
         );
     }

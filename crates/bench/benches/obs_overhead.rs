@@ -31,7 +31,8 @@
 use gps_bench::harness::{black_box, BenchHarness};
 use gps_obs::journal::SinkKind;
 use gps_obs::{Exporter, Level, ObsConfig, SloSpec, TelemetryConfig};
-use gps_sim::runner::{run_single_node_campaign_threads, SingleNodeRunConfig};
+use gps_sim::runner::SingleNodeRunConfig;
+use gps_sim::supervise::{self, SingleNode, Supervisor};
 use gps_sim::{SlotOutput, SlottedGps};
 use gps_sources::{OnOffSource, SlotSource};
 use gps_stats::rng::SeedSequence;
@@ -109,12 +110,17 @@ fn uninstrumented_replication(config: &SingleNodeRunConfig) -> (Vec<BinnedCcdf>,
 }
 
 fn run_campaign(base: &SingleNodeRunConfig) {
-    black_box(run_single_node_campaign_threads(
-        1,
-        base,
-        REPLICATIONS,
-        |_r| make_sources(),
-    ));
+    black_box(
+        supervise::run_campaign::<SingleNode>(
+            base,
+            0..REPLICATIONS,
+            |_r| make_sources(),
+            &Supervisor::new().with_threads(1),
+            None,
+        )
+        .expect("campaign")
+        .completed(),
+    );
 }
 
 fn main() {

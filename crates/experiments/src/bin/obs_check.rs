@@ -9,7 +9,8 @@
 
 use gps_experiments::{init_obs, serve_addr_from_args};
 use gps_obs::exporter::http_get;
-use gps_sim::runner::{run_single_node_campaign, SingleNodeRunConfig};
+use gps_sim::runner::SingleNodeRunConfig;
+use gps_sim::supervise::{run_campaign, SingleNode, Supervisor};
 use gps_sources::{OnOffSource, SlotSource};
 
 fn check(name: &str, ok: bool, detail: &str) -> bool {
@@ -302,7 +303,9 @@ fn main() {
             .map(|s| Box::new(s) as Box<dyn SlotSource>)
             .collect()
     };
-    let reports = run_single_node_campaign(&cfg, 2, mk);
+    let reports = run_campaign::<SingleNode>(&cfg, 0..2, mk, &Supervisor::new(), None)
+        .expect("campaign")
+        .completed();
     assert_eq!(reports.len(), 2);
 
     let mut ok = true;
@@ -396,7 +399,7 @@ fn main() {
                     .ok()
                     .and_then(|d| d.get("campaign")?.as_str().map(str::to_string))
                     .as_deref()
-                    == Some("single_node"),
+                    == Some("supervised_single_node"),
                 &body,
             );
             ok &= check(

@@ -28,7 +28,7 @@ use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{checkpoint_path, finish_obs, init_obs, measure_slots_or, resume_flag};
 use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SessionCurves};
 use gps_sim::runner::{merge_network_reports, NetworkRunConfig};
-use gps_sim::supervise::{run_supervised_network_campaign, PanicInjection, Supervisor};
+use gps_sim::supervise::{run_campaign, Network, PanicInjection, Supervisor};
 use gps_sources::lnt94::queue_tail_bound;
 use gps_sources::SlotSource;
 
@@ -82,9 +82,9 @@ fn main() {
         .with_checkpoint(checkpoint_path("validate_network"))
         .with_resume(resume_flag())
         .with_inject(PanicInjection::from_env());
-    let outcome = run_supervised_network_campaign(
+    let outcome = run_campaign::<Network>(
         &base,
-        replications,
+        0..replications,
         |_r| {
             table1_sources()
                 .into_iter()

@@ -31,7 +31,7 @@ use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{checkpoint_path, finish_obs, init_obs, measure_slots_or, resume_flag};
 use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SessionCurves};
 use gps_sim::runner::{merge_single_node_reports, SingleNodeRunConfig};
-use gps_sim::supervise::{run_supervised_single_node_campaign, PanicInjection, Supervisor};
+use gps_sim::supervise::{run_campaign, PanicInjection, SingleNode, Supervisor};
 use gps_sources::lnt94::queue_tail_bound;
 use gps_sources::SlotSource;
 use gps_stats::ExponentialTailFit;
@@ -84,9 +84,9 @@ fn main() {
         .with_checkpoint(checkpoint_path("validate_single"))
         .with_resume(resume_flag())
         .with_inject(PanicInjection::from_env());
-    let outcome = run_supervised_single_node_campaign(
+    let outcome = run_campaign::<SingleNode>(
         &cfg,
-        replications,
+        0..replications,
         |_r| {
             table1_sources()
                 .into_iter()

@@ -81,7 +81,7 @@ pub struct CampaignSection {
 /// begin/end pair of Chrome trace events.
 #[derive(Debug, Clone)]
 pub struct TraceSlice {
-    /// Event name (`chunk`, `sim/single_node_campaign`, …).
+    /// Event name (`chunk`, `sim/supervised_single_node_campaign`, …).
     pub name: String,
     /// Start, microseconds since the timeline origin.
     pub start_us: f64,

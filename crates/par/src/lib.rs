@@ -28,14 +28,19 @@
 //!
 //! # Task granularity (chunking)
 //!
+//! The public surface is two convenience maps over one core.
+//! [`par_map`] and [`par_map_threads`] map a plain closure;
+//! [`par_map_chunked`] is the core they drain through, and
+//! [`par_try_map_chunked`] is its fallible, retrying twin (see
+//! *Supervision* below).
+//!
 //! Workers pull *chunks* of consecutive indices from a shared atomic
 //! cursor, not single indices: with `R` tasks on `w` workers the default
 //! chunk is `max(1, R / (w * DEFAULT_CHUNKS_PER_WORKER))`, overridable
-//! via the `GPS_PAR_CHUNK` environment variable or the `_chunked_`
-//! API variants. Chunking amortizes the cursor fetch, the per-result
+//! via the `GPS_PAR_CHUNK` environment variable or the core's explicit
+//! `chunk` argument. Chunking amortizes the cursor fetch, the per-result
 //! collection lock (one push of a whole batch per chunk instead of one
-//! per task), and — through the `scratch` variants — per-task setup:
-//! [`par_map_indexed_scratch_threads`] hands every worker a private
+//! per task), and per-task setup: the core hands every worker a private
 //! scratch value built once per fork-join and reused across all chunks
 //! it drains.
 //!
@@ -54,11 +59,10 @@
 //!
 //! The fail-fast behavior above is right for programming errors but wrong
 //! for long measurement campaigns, where one poisoned task would discard
-//! millions of healthy replications. The fallible variants —
-//! [`par_try_map`], [`par_try_map_indexed`], and the retrying
-//! [`par_try_map_indexed_retry`] — catch each task's panic with
-//! [`std::panic::catch_unwind`] and return a [`TaskOutcome`] per index
-//! instead of aborting the join:
+//! millions of healthy replications. The fallible core
+//! [`par_try_map_chunked`] catches each task's panic with
+//! [`std::panic::catch_unwind`], rebuilds the worker's scratch, and
+//! returns a [`TaskOutcome`] per index instead of aborting the join:
 //!
 //! * `TaskOutcome::Ok(r)` — the task produced a value (possibly after
 //!   retries);
@@ -155,18 +159,6 @@ where
     par_map_threads(max_threads(), items, f)
 }
 
-/// Maps `f` over `(index, item)` pairs on [`max_threads`] workers;
-/// results come back in submission order. The index makes it easy to
-/// derive per-task seeds without cloning them into the items.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_threads(max_threads(), items, f)
-}
-
 /// [`par_map`] with an explicit worker count (used by determinism tests
 /// and benches to pin serial vs parallel without touching the
 /// environment).
@@ -176,69 +168,20 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed_threads(threads, items, |_, item| f(item))
+    par_map_chunked(threads, None, items, || (), |_, _, item| f(item))
 }
 
-/// [`par_map_indexed`] with an explicit worker count.
-pub fn par_map_indexed_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_chunked_threads(threads, None, items, f)
-}
-
-/// [`par_map_indexed_threads`] with an explicit chunk size (`None` =
-/// [`chunk_size`] default). Chunk size never changes the returned `Vec`;
-/// the scaling tests sweep it across {1, default, n} to pin that.
-pub fn par_map_indexed_chunked_threads<T, R, F>(
-    threads: usize,
-    chunk: Option<usize>,
-    items: &[T],
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        items,
-        || (),
-        |_scratch, i, item| f(i, item),
-    )
-}
-
-/// [`par_map_indexed_scratch_chunked_threads`] with the default chunk
-/// size.
-pub fn par_map_indexed_scratch_threads<T, R, S, I, F>(
-    threads: usize,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    par_map_indexed_scratch_chunked_threads(threads, None, items, init, f)
-}
-
-/// The funnel all maps drain through: maps `f(&mut scratch, index, item)`
-/// over `items` with per-worker scratch state. `init` runs once per
-/// worker per fork-join; the scratch value it builds is reused across
-/// every chunk that worker drains, so expensive per-task setup (simulator
+/// The core every map drains through: maps `f(&mut scratch, index,
+/// item)` over `items` on `threads` workers, claiming `chunk`-sized index
+/// ranges (`None` = [`chunk_size`] default). `init` runs once per worker
+/// per fork-join; the scratch value it builds is reused across every
+/// chunk that worker drains, so expensive per-task setup (simulator
 /// state, output buffers) amortizes to once per worker. Each chunk's
 /// results are batched locally and pushed under the collection lock
 /// *once per chunk*, then placed by submission index after the join —
 /// output order is independent of worker count, chunk size, and
 /// scheduling.
-pub fn par_map_indexed_scratch_chunked_threads<T, R, S, I, F>(
+pub fn par_map_chunked<T, R, S, I, F>(
     threads: usize,
     chunk: Option<usize>,
     items: &[T],
@@ -282,26 +225,6 @@ where
         .collect()
 }
 
-/// Runs `f(i)` for every `i in 0..n` across [`max_threads`] workers,
-/// handing out indices in chunks of `chunk`. `f` must synchronize any
-/// shared writes itself (the idiomatic pattern is one output slot per
-/// index — disjoint writes need no locks, and the result is independent
-/// of scheduling).
-pub fn par_for_indexed<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    par_for_indexed_threads(max_threads(), n, chunk, f)
-}
-
-/// [`par_for_indexed`] with an explicit worker count.
-pub fn par_for_indexed_threads<F>(threads: usize, n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run_indexed(threads, n, chunk, f)
-}
-
 // ---------------------------------------------------------------------
 // Supervised (fallible) fork-join
 
@@ -320,19 +243,6 @@ pub enum TaskOutcome<R, E> {
 }
 
 impl<R, E> TaskOutcome<R, E> {
-    /// True for [`TaskOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, TaskOutcome::Ok(_))
-    }
-
-    /// The produced value, if any.
-    pub fn ok(self) -> Option<R> {
-        match self {
-            TaskOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Borrows the produced value, if any.
     pub fn as_ok(&self) -> Option<&R> {
         match self {
@@ -403,7 +313,7 @@ fn supervision_counters() -> &'static SupervisionCounters {
 
 /// Best-effort text of a panic payload (`&str` and `String` payloads,
 /// which is what `panic!` produces; anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -413,122 +323,57 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fallible [`par_map`]: maps `f` over `items`, catching per-task panics
-/// instead of aborting the join. No retries; see
-/// [`par_try_map_indexed_retry`] for the retrying variant.
-pub fn par_try_map<T, R, E, F>(items: &[T], f: F) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed(items, |_, item| f(item))
-}
-
-/// Fallible [`par_map_indexed`] (no retries).
-pub fn par_try_map_indexed<T, R, E, F>(items: &[T], f: F) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_threads(max_threads(), items, f)
-}
-
-/// [`par_try_map_indexed`] with an explicit worker count.
-pub fn par_try_map_indexed_threads<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Vec<TaskOutcome<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_threads(threads, items, RetryPolicy::no_retry(), |i, _attempt, t| {
-        f(i, t)
-    })
-    .into_iter()
-    .map(|r| r.outcome)
-    .collect()
-}
-
-/// Supervised map with deterministic retry: `f(index, attempt, item)` is
-/// called with `attempt = 0` first; every caught panic consumes one
-/// attempt until [`RetryPolicy::max_attempts`] is exhausted, at which
-/// point the slot is quarantined as [`TaskOutcome::Panicked`]. Typed
-/// `Err` returns are final immediately. Results come back in submission
-/// order, independent of worker count.
-pub fn par_try_map_indexed_retry<T, R, E, F>(
-    items: &[T],
-    policy: RetryPolicy,
-    f: F,
-) -> Vec<TaskReport<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_threads(max_threads(), items, policy, f)
-}
-
-/// [`par_try_map_indexed_retry`] with an explicit worker count.
-pub fn par_try_map_indexed_retry_threads<T, R, E, F>(
-    threads: usize,
-    items: &[T],
-    policy: RetryPolicy,
-    f: F,
-) -> Vec<TaskReport<R, E>>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
-    par_try_map_indexed_retry_chunked_threads(threads, None, items, policy, f)
-}
-
-/// [`par_try_map_indexed_retry_threads`] with an explicit chunk size
-/// (`None` = [`chunk_size`] default). Supervision stays per *task*, not
-/// per chunk: each index inside a chunk is independently caught, retried,
-/// and (if exhausted) quarantined, so chunked supervised campaigns
-/// restore/retry/quarantine identically to per-task ones.
-pub fn par_try_map_indexed_retry_chunked_threads<T, R, E, F>(
+/// The fallible, retrying twin of [`par_map_chunked`]: `f(&mut scratch,
+/// index, attempt, item)` is called with `attempt = 0` first; every
+/// caught panic consumes one attempt until [`RetryPolicy::max_attempts`]
+/// is exhausted, at which point the slot is quarantined as
+/// [`TaskOutcome::Panicked`]. Typed `Err` returns are final immediately.
+///
+/// A panic can leave the worker's scratch half-updated, so the scratch
+/// is rebuilt with `init` after every caught panic — the retry (and every
+/// later task on that worker) starts from fresh state. Supervision is per
+/// *task*, not per chunk: each index inside a chunk is independently
+/// caught, retried, and quarantined, so results come back in submission
+/// order and are identical for every worker count and chunk size.
+pub fn par_try_map_chunked<T, R, E, S, I, F>(
     threads: usize,
     chunk: Option<usize>,
     items: &[T],
     policy: RetryPolicy,
+    init: I,
     f: F,
 ) -> Vec<TaskReport<R, E>>
 where
     T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, u32, &T) -> Result<R, E> + Sync,
 {
     assert!(policy.max_attempts >= 1, "need at least one attempt");
-    par_map_indexed_chunked_threads(threads, chunk, items, |i, item| {
-        supervise_one(i, item, policy, &f)
+    par_map_chunked(threads, chunk, items, &init, |scratch, i, item| {
+        supervise_one(i, policy, scratch, &init, |s, attempt| {
+            f(s, i, attempt, item)
+        })
     })
 }
 
-/// Runs one task under the retry policy, catching panics per attempt and
-/// recording supervision telemetry.
-fn supervise_one<T, R, E, F>(i: usize, item: &T, policy: RetryPolicy, f: &F) -> TaskReport<R, E>
-where
-    F: Fn(usize, u32, &T) -> Result<R, E> + Sync,
-{
+/// Runs one task under the retry policy, catching panics per attempt,
+/// rebuilding the scratch after each one, and recording supervision
+/// telemetry.
+fn supervise_one<R, E, S>(
+    i: usize,
+    policy: RetryPolicy,
+    scratch: &mut S,
+    init: &impl Fn() -> S,
+    f: impl Fn(&mut S, u32) -> Result<R, E>,
+) -> TaskReport<R, E> {
     let counters = supervision_counters();
     let mut attempts = 0u32;
     loop {
         let attempt = attempts;
         attempts += 1;
-        match panic::catch_unwind(panic::AssertUnwindSafe(|| f(i, attempt, item))) {
+        match panic::catch_unwind(panic::AssertUnwindSafe(|| f(scratch, attempt))) {
             Ok(Ok(r)) => {
                 if attempt > 0 {
                     counters.recovered.inc();
@@ -559,6 +404,7 @@ where
                 };
             }
             Err(payload) => {
+                *scratch = init();
                 let message = panic_message(payload.as_ref());
                 counters.panicked.inc();
                 gps_obs::warn(
@@ -611,20 +457,6 @@ fn pool_metrics(n: usize, workers: usize) -> bool {
     timing
 }
 
-/// The shared work loop: workers pull `chunk`-sized index ranges from an
-/// atomic cursor until exhausted. With one worker this degenerates to the
-/// exact serial `for i in 0..n` order through the same code.
-fn run_indexed<F>(threads: usize, n: usize, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run_ranges(threads, n, chunk, &|| (), |_scratch, range| {
-        for i in range {
-            f(i);
-        }
-    });
-}
-
 /// Per-worker accounting slots for one fork-join, filled only when span
 /// timing or the flight recorder is on. Cache-line padded so workers
 /// flushing their totals never false-share.
@@ -637,8 +469,6 @@ struct WorkerAccount {
     wait_ns: AtomicU64,
     /// Chunks this worker claimed.
     chunks: AtomicU64,
-    /// Indices this worker processed (sum of chunk lengths).
-    items: AtomicU64,
 }
 
 /// Publishes the per-worker and load-imbalance gauges for one finished
@@ -744,7 +574,6 @@ where
             let chunk_ns = (t_done - t_claim).as_nanos() as u64;
             acc.busy_ns.fetch_add(chunk_ns, Ordering::Relaxed);
             acc.chunks.fetch_add(1, Ordering::Relaxed);
-            acc.items.fetch_add(len, Ordering::Relaxed);
             if timing {
                 gps_obs::metrics().record_span("par/chunk", chunk_ns);
             }
@@ -808,9 +637,9 @@ mod tests {
     }
 
     #[test]
-    fn par_map_indexed_passes_correct_indices() {
+    fn par_map_chunked_passes_correct_indices() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let out = par_map_indexed_threads(3, &items, |i, &s| format!("{i}:{s}"));
+        let out = par_map_chunked(3, None, &items, || (), |_, i, &s| format!("{i}:{s}"));
         assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
@@ -818,7 +647,9 @@ mod tests {
     fn empty_input_returns_empty() {
         let items: Vec<u32> = vec![];
         assert!(par_map_threads(4, &items, |&x| x).is_empty());
-        par_for_indexed_threads(4, 0, 8, |_| panic!("must not run"));
+        let none: Vec<()> =
+            par_map_chunked(4, Some(8), &items, || (), |_, _, _| panic!("must not run"));
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -828,16 +659,23 @@ mod tests {
     }
 
     #[test]
-    fn par_for_indexed_covers_every_index_once() {
+    fn every_index_runs_exactly_once() {
         let n = 1000;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let idx: Vec<usize> = (0..n).collect();
         for (threads, chunk) in [(1, 1), (4, 1), (4, 16), (3, 997)] {
             for h in &hits {
                 h.store(0, Ordering::Relaxed);
             }
-            par_for_indexed_threads(threads, n, chunk, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            par_map_chunked(
+                threads,
+                Some(chunk),
+                &idx,
+                || (),
+                |_, i, _| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            );
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "threads {threads} chunk {chunk}"
@@ -852,9 +690,16 @@ mod tests {
         let mut parallel = vec![0.0f64; n];
         {
             let cells: Vec<Mutex<&mut f64>> = parallel.iter_mut().map(Mutex::new).collect();
-            par_for_indexed_threads(4, n, 4, |i| {
-                **cells[i].lock().unwrap() = (i as f64).sqrt();
-            });
+            let idx: Vec<usize> = (0..n).collect();
+            par_map_chunked(
+                4,
+                Some(4),
+                &idx,
+                || (),
+                |_, i, _| {
+                    **cells[i].lock().unwrap() = (i as f64).sqrt();
+                },
+            );
         }
         let serial: Vec<f64> = (0..n).map(|i| (i as f64).sqrt()).collect();
         assert_eq!(parallel, serial);
@@ -884,7 +729,13 @@ mod tests {
     #[test]
     fn serial_fallback_panic_propagates_too() {
         let r = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            par_for_indexed_threads(1, 4, 1, |i| assert!(i != 2, "boom"))
+            par_map_chunked(
+                1,
+                Some(1),
+                &[0u8; 4],
+                || (),
+                |_, i, _| assert!(i != 2, "boom"),
+            )
         }));
         assert!(r.is_err());
     }
@@ -909,17 +760,24 @@ mod tests {
     fn try_map_isolates_panics_and_typed_failures() {
         let items: Vec<u32> = (0..32).collect();
         for threads in [1, 4] {
-            let out = par_try_map_indexed_threads(threads, &items, |_, &x| {
-                if x == 7 {
-                    panic!("task 7 blew up");
-                }
-                if x == 11 {
-                    return Err(format!("task {x} declined"));
-                }
-                Ok(x * 2)
-            });
+            let out = par_try_map_chunked(
+                threads,
+                None,
+                &items,
+                RetryPolicy::no_retry(),
+                || (),
+                |_, _, _, &x| {
+                    if x == 7 {
+                        panic!("task 7 blew up");
+                    }
+                    if x == 11 {
+                        return Err(format!("task {x} declined"));
+                    }
+                    Ok(x * 2)
+                },
+            );
             assert_eq!(out.len(), 32, "threads {threads}");
-            for (i, o) in out.iter().enumerate() {
+            for (i, o) in out.iter().map(|r| &r.outcome).enumerate() {
                 match (i as u32, o) {
                     (7, TaskOutcome::Panicked(msg)) => assert!(msg.contains("task 7 blew up")),
                     (11, TaskOutcome::Failed(e)) => assert_eq!(e, "task 11 declined"),
@@ -933,11 +791,13 @@ mod tests {
     #[test]
     fn retry_recovers_transient_panics_with_attempt_number() {
         let items: Vec<u32> = (0..8).collect();
-        let out = par_try_map_indexed_retry_threads(
+        let out = par_try_map_chunked(
             3,
+            None,
             &items,
             RetryPolicy { max_attempts: 3 },
-            |_, attempt, &x| -> Result<u32, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u32, String> {
                 // Index 5 panics on its first two attempts, then succeeds —
                 // the recovery is deterministic in (index, attempt) alone.
                 if x == 5 && attempt < 2 {
@@ -960,11 +820,13 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_with_final_message() {
         let items = [0u8, 1, 2];
-        let out = par_try_map_indexed_retry_threads(
+        let out = par_try_map_chunked(
             2,
+            None,
             &items,
             RetryPolicy { max_attempts: 2 },
-            |_, attempt, &x| -> Result<u8, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u8, String> {
                 if x == 1 {
                     panic!("always broken (attempt {attempt})");
                 }
@@ -984,11 +846,13 @@ mod tests {
     fn typed_failures_are_never_retried() {
         let tries = AtomicU64::new(0);
         let items = [42u8];
-        let out = par_try_map_indexed_retry_threads(
+        let out = par_try_map_chunked(
             1,
+            None,
             &items,
             RetryPolicy { max_attempts: 5 },
-            |_, _, _| -> Result<(), &'static str> {
+            || (),
+            |_, _, _, _| -> Result<(), &'static str> {
                 tries.fetch_add(1, Ordering::Relaxed);
                 Err("deterministic failure")
             },
@@ -1005,11 +869,13 @@ mod tests {
         let before_q = m.counter("par.tasks_quarantined").get();
         let before_r = m.counter("par.tasks_recovered").get();
         let items = [0u8, 1, 2, 3];
-        let _ = par_try_map_indexed_retry_threads(
+        let _ = par_try_map_chunked(
             2,
+            None,
             &items,
             RetryPolicy { max_attempts: 2 },
-            |_, attempt, &x| -> Result<u8, String> {
+            || (),
+            |_, _, attempt, &x| -> Result<u8, String> {
                 match x {
                     1 => panic!("permanent"),                 // 2 panics, 1 quarantine
                     2 if attempt == 0 => panic!("transient"), // 1 panic, 1 recovery
@@ -1042,8 +908,7 @@ mod tests {
         let want: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for threads in [1, 2, 4] {
             for chunk in [Some(1), Some(7), Some(64), Some(193), Some(10_000), None] {
-                let out =
-                    par_map_indexed_chunked_threads(threads, chunk, &items, |_, &x| x * 3 + 1);
+                let out = par_map_chunked(threads, chunk, &items, || (), |_, _, &x| x * 3 + 1);
                 assert_eq!(out, want, "threads {threads} chunk {chunk:?}");
             }
         }
@@ -1057,7 +922,7 @@ mod tests {
         // chunk 5 → 20 chunks; scratch must be built at most once per
         // worker, not once per chunk, and each worker's tally of items
         // processed through its scratch must sum to n.
-        let out = par_map_indexed_scratch_chunked_threads(
+        let out = par_map_chunked(
             threads,
             Some(5),
             &items,
@@ -1093,12 +958,13 @@ mod tests {
     fn chunked_retry_matches_per_task_supervision() {
         let items: Vec<u32> = (0..40).collect();
         let run = |chunk: Option<usize>| {
-            par_try_map_indexed_retry_chunked_threads(
+            par_try_map_chunked(
                 3,
                 chunk,
                 &items,
                 RetryPolicy { max_attempts: 2 },
-                |_, attempt, &x| -> Result<u32, String> {
+                || (),
+                |_, _, attempt, &x| -> Result<u32, String> {
                     match x {
                         13 => panic!("permanent fault"),
                         21 if attempt == 0 => panic!("transient fault"),
@@ -1115,6 +981,36 @@ mod tests {
         assert_eq!(per_task[21].attempts, 2);
         assert!(matches!(per_task[13].outcome, TaskOutcome::Panicked(_)));
         assert!(matches!(per_task[29].outcome, TaskOutcome::Failed(_)));
+    }
+
+    #[test]
+    fn caught_panic_rebuilds_the_worker_scratch() {
+        // One worker, one chunk: the scratch counts the tasks it has
+        // served. Task 2 poisons it and panics on its first attempt; the
+        // retry and every later task must see a freshly built scratch.
+        let inits = AtomicU64::new(0);
+        let items: Vec<u32> = (0..5).collect();
+        let out = par_try_map_chunked(
+            1,
+            Some(5),
+            &items,
+            RetryPolicy { max_attempts: 2 },
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                0u32
+            },
+            |served, _, attempt, &x| -> Result<u32, String> {
+                if x == 2 && attempt == 0 {
+                    *served = 1000;
+                    panic!("poisoned scratch");
+                }
+                *served += 1;
+                Ok(*served)
+            },
+        );
+        let served: Vec<u32> = out.iter().map(|r| *r.outcome.as_ok().unwrap()).collect();
+        assert_eq!(served, vec![1, 2, 1, 2, 3]);
+        assert_eq!(inits.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -65,9 +65,16 @@ fn counts_mode_chunk_items_are_schedule_invariant() {
     let mut exports = Vec::new();
     for (threads, chunk) in [(1usize, 1usize), (1, 160), (4, 1), (4, 160)] {
         gps_obs::trace::reset();
-        gps_par::par_for_indexed_threads(threads, 640, chunk, |i| {
-            std::hint::black_box(i.wrapping_mul(31));
-        });
+        let items: Vec<usize> = (0..640).collect();
+        gps_par::par_map_chunked(
+            threads,
+            Some(chunk),
+            &items,
+            || (),
+            |_, i, _| {
+                std::hint::black_box(i.wrapping_mul(31));
+            },
+        );
         exports.push(gps_obs::trace::export_json("pool_test").expect("counts export"));
     }
     gps_obs::trace::configure(gps_obs::TraceMode::Off);

@@ -22,12 +22,14 @@
 //! * [`faults::FaultySource`] — fault injection (drops, duplicated
 //!   bursts, rate scaling) for robustness experiments, in the spirit of
 //!   smoltcp's `--drop-chance`-style example knobs;
-//! * [`runner`] — seeded measurement campaigns producing per-session
+//! * [`runner`] — seeded measurement runs producing per-session
 //!   backlog/delay CCDFs ready to compare against analytical bounds;
-//! * [`supervise`] — supervised campaigns: per-replication panic
-//!   isolation with deterministic retry, typed [`supervise::SimError`]
-//!   failures, quarantine accounting, and crash-safe NDJSON
-//!   checkpoint/resume that keeps results byte-identical;
+//! * [`supervise`] — the one campaign funnel, [`supervise::run_campaign`],
+//!   generic over the [`supervise::Replication`] models: per-replication
+//!   panic isolation with deterministic retry, typed
+//!   [`supervise::SimError`] failures, quarantine accounting, and
+//!   crash-safe NDJSON checkpoint/resume that keeps results
+//!   byte-identical;
 //! * [`orchestrate`] — fault-tolerant multi-process campaigns: a
 //!   coordinator leases (fingerprint, seed, replication-range) shards to
 //!   workers over the in-tree HTTP stack, workers stream checkpoint
@@ -65,13 +67,11 @@ pub use orchestrate::{
 pub use packet_network::{run_packet_network, PacketJourney, PacketNetworkError};
 pub use pgps::{FifoServer, Packet, PgpsServer, PriorityServer};
 pub use runner::{
-    merge_network_reports, merge_single_node_reports, run_network_campaign,
-    run_single_node_campaign, NetworkRunConfig, NetworkRunReport, SingleNodeRunConfig,
-    SingleNodeRunReport,
+    merge_network_reports, merge_single_node_reports, NetworkRunConfig, NetworkRunReport,
+    SingleNodeRunConfig, SingleNodeRunReport,
 };
 pub use slotted::{SlotOutput, SlottedGps};
 pub use supervise::{
-    resume_network_campaign, resume_single_node_campaign, run_supervised_network_campaign,
-    run_supervised_single_node_campaign, CampaignOutcome, CheckpointFile, PanicInjection, SimError,
-    Supervisor,
+    run_campaign, CampaignOutcome, CheckpointFile, Network, PanicInjection, Replication, SimError,
+    SingleNode, Supervisor,
 };

@@ -63,9 +63,8 @@
 
 use crate::runner::{merge_single_node_reports, SingleNodeRunConfig, SingleNodeRunReport};
 use crate::supervise::{
-    checkpoint_line, decode_checkpoint_line, fingerprint_single_node,
-    run_supervised_single_node_campaign_range_chunked_threads, single_node_report_from_json,
-    CheckpointFile, OnComplete, SimError, Supervisor,
+    checkpoint_line, decode_checkpoint_line, fingerprint_single_node, run_campaign, CheckpointFile,
+    OnComplete, Replication, SimError, SingleNode, Supervisor,
 };
 use gps_obs::exporter::RetryingClient;
 use gps_obs::json::{self, Json};
@@ -80,7 +79,7 @@ use std::time::Duration;
 /// Campaign kind tag carried on every protocol message and journal line.
 /// Only single-node campaigns are orchestrated today; the tag keeps the
 /// wire format forward-compatible with network campaigns.
-pub const KIND_SINGLE_NODE: &str = "single_node";
+pub const KIND_SINGLE_NODE: &str = SingleNode::KIND;
 
 // ---------------------------------------------------------------------
 // Campaign spec and coordinator state
@@ -371,10 +370,11 @@ impl Coordinator {
             }
             None => (None, Default::default()),
         };
-        // Only in-range payloads that decode against this config count
-        // as restored; anything else is recomputed.
+        // Only in-range payloads that decode against this config and
+        // pass the model's check count as restored; anything else is
+        // recomputed.
         restored.retain(|&r, payload| {
-            r < spec.replications && single_node_report_from_json(&spec.cfg, payload).is_some()
+            r < spec.replications && SingleNode::decode(&spec.cfg, payload).is_some()
         });
         let completed: BTreeMap<u64, Json> = restored.into_iter().collect();
         let mut shards = Vec::new();
@@ -572,10 +572,10 @@ impl Coordinator {
     }
 
     /// Handles one streamed checkpoint line. Identity (kind,
-    /// fingerprint, seed) and payload shape are validated before the
-    /// line is recorded; duplicates are dropped idempotently. An
-    /// accepted or duplicate line resets its shard's staleness — results
-    /// are the lease heartbeat.
+    /// fingerprint, seed), payload shape and the model's
+    /// [`Replication::check`] are validated before the line is recorded;
+    /// duplicates are dropped idempotently. An accepted or duplicate line
+    /// resets its shard's staleness — results are the lease heartbeat.
     pub fn submit_line(&mut self, line: &str) -> SubmitReply {
         let decoded =
             decode_checkpoint_line(line, KIND_SINGLE_NODE, self.fingerprint, self.spec.cfg.seed);
@@ -585,8 +585,8 @@ impl Coordinator {
         if r >= self.spec.replications {
             return self.reject("replication out of range");
         }
-        if single_node_report_from_json(&self.spec.cfg, &payload).is_none() {
-            return self.reject("report payload malformed for this config");
+        if SingleNode::decode(&self.spec.cfg, &payload).is_none() {
+            return self.reject("report payload malformed or invalid for this config");
         }
         if let Some(i) = self.shard_index_of(r) {
             if self.shards[i].phase == ShardPhase::Leased {
@@ -663,7 +663,7 @@ impl Coordinator {
                 let payload = self.completed.get(&r).ok_or_else(|| {
                     SimError::Checkpoint(format!("replication {r} missing from journal"))
                 })?;
-                single_node_report_from_json(&self.spec.cfg, payload).ok_or_else(|| {
+                SingleNode::decode(&self.spec.cfg, payload).ok_or_else(|| {
                     SimError::Checkpoint(format!("replication {r} payload malformed"))
                 })
             })
@@ -1071,21 +1071,14 @@ where
             }
         });
         let supervisor = Supervisor {
+            threads: opts.threads,
+            chunk: opts.chunk,
             retry: opts.retry,
-            checkpoint: None,
-            resume: false,
-            inject: None,
             on_complete: Some(hook),
-        };
-        let threads = if opts.threads == 0 {
-            gps_par::max_threads()
-        } else {
-            opts.threads
+            ..Supervisor::default()
         };
         let make_sources = Arc::clone(&resolved.make_sources);
-        let outcome = run_supervised_single_node_campaign_range_chunked_threads(
-            threads,
-            opts.chunk,
+        let outcome = run_campaign::<SingleNode>(
             &resolved.cfg,
             start..end,
             move |r| make_sources(r),
@@ -1159,13 +1152,24 @@ mod tests {
     }
 
     fn line_for(cfg: &SingleNodeRunConfig, r: u64) -> String {
+        line_with(cfg, r, |_| {})
+    }
+
+    /// The checkpoint line of replication `r` after `corrupt` edits its
+    /// report.
+    fn line_with(
+        cfg: &SingleNodeRunConfig,
+        r: u64,
+        corrupt: impl FnOnce(&mut SingleNodeRunReport),
+    ) -> String {
         let mut cfg_r = cfg.clone();
         cfg_r.seed = cfg.seed.wrapping_add(r);
         let mut sources: Vec<Box<dyn SlotSource>> = OnOffSource::paper_table1()
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn SlotSource>)
             .collect();
-        let report = crate::runner::run_single_node_core(&mut sources, &cfg_r);
+        let mut report = crate::runner::run_single_node_core(&mut sources, &cfg_r);
+        corrupt(&mut report);
         checkpoint_line(
             KIND_SINGLE_NODE,
             fingerprint_single_node(cfg),
@@ -1332,6 +1336,20 @@ mod tests {
             c.submit_line(&other_seed),
             SubmitReply::Rejected(_)
         ));
+        // Lines that decode but fail the semantic check: a NaN
+        // throughput, and a backlog CCDF total beyond the measured slots.
+        let nan = line_with(&cfg, 0, |rep| rep.sessions[0].throughput = f64::NAN);
+        let inflated = line_with(&cfg, 1, |rep| {
+            let b = &rep.sessions[1].backlog;
+            rep.sessions[1].backlog = gps_stats::BinnedCcdf::from_parts(
+                cfg.backlog_grid.clone(),
+                b.exceed_counts().to_vec(),
+                b.len() + 1,
+            )
+            .unwrap();
+        });
+        assert!(matches!(c.submit_line(&nan), SubmitReply::Rejected(_)));
+        assert!(matches!(c.submit_line(&inflated), SubmitReply::Rejected(_)));
         // Valid lines accept once, dedup after.
         let l0 = line_for(&cfg, 0);
         let l1 = line_for(&cfg, 1);
@@ -1348,7 +1366,7 @@ mod tests {
         let stats = c.stats();
         assert_eq!(
             (stats.submitted, stats.duplicates, stats.rejected),
-            (2, 1, 2)
+            (2, 1, 4)
         );
     }
 

@@ -9,15 +9,18 @@
 //!
 //! # Campaigns
 //!
-//! Monte Carlo campaigns fan replications out over [`gps_par`]:
-//! [`run_single_node_campaign`] / [`run_network_campaign`] run `R`
-//! replications (replication `r` uses master seed `base.seed + r`) on
-//! `GPS_PAR_THREADS` workers and return reports in replication order.
-//! Every replication is a pure function of its seed and metrics are
-//! folded into the global registry *after* the join, in replication
-//! order — so parallel and serial campaign runs are byte-identical
-//! (CSV rows, merged CCDFs, metrics snapshots), which
-//! `tests/determinism.rs` pins.
+//! This module holds the per-model pieces: configs, run cores over
+//! reusable scratch, report merges, metrics folds and monitor folds.
+//! Monte Carlo campaigns run them through the one funnel,
+//! [`supervise::run_campaign`](crate::supervise::run_campaign), over the
+//! [`Replication`](crate::supervise::Replication) impls of the two
+//! models: replication `r` uses master seed `base.seed + r`, reports
+//! come back in replication order, and metrics are folded into the
+//! global registry *after* the join, in replication order — so parallel
+//! and serial campaign runs are byte-identical (CSV rows, merged CCDFs,
+//! metrics snapshots), which `tests/determinism.rs` pins. The one other
+//! campaign entry point, [`run_single_node_campaign_merged_threads`],
+//! folds replications in place for memory-bounded huge campaigns.
 
 use crate::network_sim::{NetworkSlotOutput, SlottedGpsNetwork};
 use crate::slotted::{SlotOutput, SlottedGps};
@@ -278,42 +281,34 @@ pub fn run_network(
     sources: &mut [Box<dyn SlotSource>],
     config: &NetworkRunConfig,
 ) -> NetworkRunReport {
-    let report = run_network_core(sources, config);
+    let report = run_network_core(&mut NetworkScratch::default(), sources, config);
     record_network_metrics(gps_obs::metrics(), &report);
     report
 }
 
-/// Network analogue of [`SingleNodeScratch`]: the network simulator and
-/// per-slot buffers a campaign worker reuses across replications. The
-/// simulator is rebuilt only when the topology actually changes.
-#[derive(Debug, Default)]
-pub struct NetworkScratch {
-    net: Option<SlottedGpsNetwork>,
-    arrivals: Vec<f64>,
-    out: NetworkSlotOutput,
-    rngs: Vec<Xoshiro256pp>,
-}
+pub(crate) use network_scratch::NetworkScratch;
 
-impl NetworkScratch {
-    /// An empty scratch, ready for [`run_network_core_scratch`].
-    pub fn new() -> Self {
-        Self::default()
+mod network_scratch {
+    use super::*;
+
+    /// Network analogue of [`SingleNodeScratch`]: the network simulator
+    /// and per-slot buffers a campaign worker reuses across replications.
+    /// The simulator is rebuilt only when the topology actually changes.
+    /// Public only so the network [`Replication`](crate::supervise::Replication)
+    /// impl can name it; its module is private, so callers cannot.
+    #[derive(Debug, Default)]
+    pub struct NetworkScratch {
+        pub(super) net: Option<SlottedGpsNetwork>,
+        pub(super) arrivals: Vec<f64>,
+        pub(super) out: NetworkSlotOutput,
+        pub(super) rngs: Vec<Xoshiro256pp>,
     }
 }
 
-/// [`run_network`] without the global-registry metrics fold (see
-/// [`run_single_node_core`]).
-pub fn run_network_core(
-    sources: &mut [Box<dyn SlotSource>],
-    config: &NetworkRunConfig,
-) -> NetworkRunReport {
-    let mut scratch = NetworkScratch::new();
-    run_network_core_scratch(&mut scratch, sources, config)
-}
-
-/// [`run_network_core`] over caller-owned scratch state; bit-identical
-/// to the fresh-scratch path (see [`run_single_node_core_scratch`]).
-pub fn run_network_core_scratch(
+/// [`run_network`] over caller-owned scratch state and without the
+/// global-registry metrics fold; bit-identical to a fresh scratch (see
+/// [`run_single_node_core_scratch`]).
+pub(crate) fn run_network_core(
     scratch: &mut NetworkScratch,
     sources: &mut [Box<dyn SlotSource>],
     config: &NetworkRunConfig,
@@ -423,171 +418,6 @@ pub fn record_network_metrics(registry: &Registry, report: &NetworkRunReport) {
     }
 }
 
-/// Runs `replications` independent single-node campaigns on
-/// `GPS_PAR_THREADS` workers (see [`gps_par::max_threads`]). Replication
-/// `r` uses master seed `base.seed + r` and fresh sources from
-/// `make_sources(r)`; reports come back in replication order and are
-/// identical for any worker count.
-pub fn run_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_threads(gps_par::max_threads(), base, replications, make_sources)
-}
-
-/// [`run_single_node_campaign`] with an explicit worker count (what the
-/// determinism tests and benches pin).
-pub fn run_single_node_campaign_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_threads(threads, base, replications, make_sources, None)
-}
-
-/// [`run_single_node_campaign_threads`] with an explicit chunk size for
-/// the worker task queue. `None` uses the [`gps_par::chunk_size`]
-/// default (which honors `GPS_PAR_CHUNK`). The chunk size only shapes
-/// scheduling: reports are byte-identical for every `(threads, chunk)`
-/// combination.
-pub fn run_single_node_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_chunked_threads(
-        threads,
-        chunk,
-        base,
-        replications,
-        make_sources,
-        None,
-    )
-}
-
-/// [`run_single_node_campaign`] with an online [`BoundMonitor`]: after
-/// the parallel join, replication reports are folded in order into a
-/// running pooled report and the merged-so-far empirical tails are
-/// checked against the monitor's analytic curves after every fold (so a
-/// violation is caught at the earliest replication where the pooled
-/// evidence supports it). Pass `None` for plain campaign behavior.
-pub fn run_single_node_campaign_monitored<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// [`run_single_node_campaign_monitored`] with an explicit worker count.
-pub fn run_single_node_campaign_monitored_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_single_node_campaign_monitored_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// The full single-node campaign: explicit worker count, explicit chunk
-/// size (`None` → [`gps_par::chunk_size`] default), optional online
-/// bound monitor. Every other single-node campaign entry point funnels
-/// into this one.
-pub fn run_single_node_campaign_monitored_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<SingleNodeRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.runner",
-        "single_node_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-        ],
-    );
-    let _span = gps_obs::span("sim/single_node_campaign");
-    gps_obs::global_progress().begin_campaign("single_node", replications);
-    let reps: Vec<u64> = (0..replications).collect();
-    let reports = gps_par::par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        SingleNodeScratch::new,
-        |scratch, _, &r| {
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_single_node_core_scratch(scratch, &mut sources, &cfg);
-            gps_obs::global_progress().add_done(1);
-            report
-        },
-    );
-    // Metrics fold happens after the join, in replication order, so the
-    // snapshot is independent of worker scheduling.
-    for report in &reports {
-        record_single_node_metrics(gps_obs::metrics(), report);
-    }
-    if let Some(mon) = monitor {
-        let mut merged: Option<SingleNodeRunReport> = None;
-        for (fold, report) in reports.iter().enumerate() {
-            let _t =
-                gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold as u64);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_single_node_reports(&[prev, report.clone()]),
-            };
-            monitor_single_node_fold(mon, gps_obs::metrics(), &pooled, fold as u64);
-            merged = Some(pooled);
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    reports
-}
-
 /// Checks every session of a (merged) single-node report against
 /// `monitor`'s analytic tail curves, attributing journal events and
 /// counters to replication fold `fold`. Backlog tails are weighted by
@@ -599,175 +429,8 @@ pub fn monitor_single_node_fold(
     merged: &SingleNodeRunReport,
     fold: u64,
 ) -> u64 {
-    let mut violations = 0;
-    for (i, s) in merged.sessions.iter().enumerate() {
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Backlog,
-            &s.backlog.series(),
-            merged.measured_slots,
-            fold,
-        );
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Delay,
-            &s.delay.series(),
-            s.delay.len(),
-            fold,
-        );
-    }
-    violations
-}
-
-/// Network analogue of [`run_single_node_campaign`].
-pub fn run_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_threads(gps_par::max_threads(), base, replications, make_sources)
-}
-
-/// [`run_network_campaign`] with an explicit worker count.
-pub fn run_network_campaign_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_threads(threads, base, replications, make_sources, None)
-}
-
-/// Network analogue of [`run_single_node_campaign_chunked_threads`].
-pub fn run_network_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_chunked_threads(
-        threads,
-        chunk,
-        base,
-        replications,
-        make_sources,
-        None,
-    )
-}
-
-/// Network analogue of [`run_single_node_campaign_monitored`].
-pub fn run_network_campaign_monitored<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// [`run_network_campaign_monitored`] with an explicit worker count.
-pub fn run_network_campaign_monitored_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_network_campaign_monitored_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        monitor,
-    )
-}
-
-/// The full network campaign: explicit worker count, explicit chunk
-/// size (`None` → [`gps_par::chunk_size`] default), optional online
-/// bound monitor. Every other network campaign entry point funnels into
-/// this one.
-pub fn run_network_campaign_monitored_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    monitor: Option<&BoundMonitor>,
-) -> Vec<NetworkRunReport>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.runner",
-        "network_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-        ],
-    );
-    let _span = gps_obs::span("sim/network_campaign");
-    gps_obs::global_progress().begin_campaign("network", replications);
-    let reps: Vec<u64> = (0..replications).collect();
-    let reports = gps_par::par_map_indexed_scratch_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        NetworkScratch::new,
-        |scratch, _, &r| {
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_network_core_scratch(scratch, &mut sources, &cfg);
-            gps_obs::global_progress().add_done(1);
-            report
-        },
-    );
-    for report in &reports {
-        record_network_metrics(gps_obs::metrics(), report);
-    }
-    if let Some(mon) = monitor {
-        let mut merged: Option<NetworkRunReport> = None;
-        for (fold, report) in reports.iter().enumerate() {
-            let _t =
-                gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold as u64);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_network_reports(&[prev, report.clone()]),
-            };
-            monitor_network_fold(mon, gps_obs::metrics(), &pooled, fold as u64);
-            merged = Some(pooled);
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    reports
+    let sessions = merged.sessions.iter().map(|s| (&s.backlog, &s.delay));
+    monitor_sessions(monitor, registry, merged.measured_slots, sessions, fold)
 }
 
 /// Network analogue of [`monitor_single_node_fold`]: checks per-session
@@ -780,24 +443,24 @@ pub fn monitor_network_fold(
     merged: &NetworkRunReport,
     fold: u64,
 ) -> u64 {
+    let sessions = merged.backlog.iter().zip(&merged.delay);
+    monitor_sessions(monitor, registry, merged.measured_slots, sessions, fold)
+}
+
+/// The per-session check both monitor folds share: session `i`'s backlog
+/// tail weighted by `slots`, its delay tail by its own sample count.
+fn monitor_sessions<'a>(
+    monitor: &BoundMonitor,
+    registry: &Registry,
+    slots: u64,
+    sessions: impl Iterator<Item = (&'a BinnedCcdf, &'a BinnedCcdf)>,
+    fold: u64,
+) -> u64 {
     let mut violations = 0;
-    for i in 0..merged.backlog.len() {
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Backlog,
-            &merged.backlog[i].series(),
-            merged.measured_slots,
-            fold,
-        );
-        violations += monitor.check_series(
-            registry,
-            i,
-            SeriesKind::Delay,
-            &merged.delay[i].series(),
-            merged.delay[i].len(),
-            fold,
-        );
+    for (i, (backlog, delay)) in sessions.enumerate() {
+        let (b, d) = (backlog.series(), delay.series());
+        violations += monitor.check_series(registry, i, SeriesKind::Backlog, &b, slots, fold);
+        violations += monitor.check_series(registry, i, SeriesKind::Delay, &d, delay.len(), fold);
     }
     violations
 }
@@ -806,33 +469,64 @@ pub fn monitor_network_fold(
 /// throughput weighted by measured slots, slots summed). Panics on an
 /// empty slice or mismatched session counts.
 pub fn merge_single_node_reports(reports: &[SingleNodeRunReport]) -> SingleNodeRunReport {
-    let first = reports.first().expect("at least one report");
-    let n = first.sessions.len();
-    let total_slots: u64 = reports.iter().map(|r| r.measured_slots).sum();
-    let sessions = (0..n)
-        .map(|i| {
-            let mut backlog = first.sessions[i].backlog.clone();
-            let mut delay = first.sessions[i].delay.clone();
-            let mut moments = first.sessions[i].backlog_moments;
-            let mut volume = first.sessions[i].throughput * first.measured_slots as f64;
-            for r in &reports[1..] {
-                assert_eq!(r.sessions.len(), n, "mismatched session counts");
-                backlog.merge(&r.sessions[i].backlog);
-                delay.merge(&r.sessions[i].delay);
-                moments.merge(&r.sessions[i].backlog_moments);
-                volume += r.sessions[i].throughput * r.measured_slots as f64;
-            }
-            SessionReport {
-                backlog,
-                delay,
-                backlog_moments: moments,
-                throughput: volume / total_slots as f64,
-            }
-        })
-        .collect();
-    SingleNodeRunReport {
-        sessions,
-        measured_slots: total_slots,
+    let (first, rest) = reports.split_first().expect("at least one report");
+    let mut fold = SingleNodeFold::new(first.clone());
+    for r in rest {
+        fold.push(r);
+    }
+    fold.finish()
+}
+
+/// A running pool of single-node reports: CCDFs and moments merged in
+/// push order, served volume accumulated and divided by the pooled slot
+/// count once at the end. This is the float operation order of
+/// [`merge_single_node_reports`], which is built on it.
+struct SingleNodeFold {
+    merged: SingleNodeRunReport,
+    volume: Vec<f64>,
+}
+
+impl SingleNodeFold {
+    fn new(first: SingleNodeRunReport) -> Self {
+        let slots = first.measured_slots as f64;
+        let volume = first
+            .sessions
+            .iter()
+            .map(|s| s.throughput * slots)
+            .collect();
+        Self {
+            merged: first,
+            volume,
+        }
+    }
+
+    fn push(&mut self, r: &SingleNodeRunReport) {
+        let merged = &mut self.merged;
+        assert_eq!(
+            r.sessions.len(),
+            merged.sessions.len(),
+            "mismatched session counts"
+        );
+        for ((m, s), v) in merged
+            .sessions
+            .iter_mut()
+            .zip(&r.sessions)
+            .zip(&mut self.volume)
+        {
+            m.backlog.merge(&s.backlog);
+            m.delay.merge(&s.delay);
+            m.backlog_moments.merge(&s.backlog_moments);
+            *v += s.throughput * r.measured_slots as f64;
+        }
+        merged.measured_slots += r.measured_slots;
+    }
+
+    fn finish(mut self) -> SingleNodeRunReport {
+        let slots = self.merged.measured_slots as f64;
+        for (s, v) in self.merged.sessions.iter_mut().zip(&self.volume) {
+            s.throughput = v / slots;
+        }
+        self.merged
     }
 }
 
@@ -850,8 +544,8 @@ pub fn merge_single_node_reports(reports: &[SingleNodeRunReport]) -> SingleNodeR
 /// * With `chunk = None` the default chunk depends on the worker count,
 ///   so the pooled Welford moments and throughput can differ in the last
 ///   bits across thread counts; the pooled CCDF tails are exact `u64`
-///   counts and never differ from [`run_single_node_campaign`] followed
-///   by [`merge_single_node_reports`].
+///   counts and never differ from a plain campaign followed by
+///   [`merge_single_node_reports`].
 ///
 /// The in-chunk fold reproduces [`merge_single_node_reports`]'s float
 /// operation order over the chunk slice exactly (volume is accumulated
@@ -890,51 +584,28 @@ where
         .step_by(chunk)
         .map(|s| (s, (s + chunk as u64).min(replications)))
         .collect();
-    let partials = gps_par::par_map_indexed_scratch_threads(
+    let partials = gps_par::par_map_chunked(
         threads,
+        None,
         &ranges,
         SingleNodeScratch::new,
         |scratch, _, &(start, end)| {
-            // Left-fold the chunk in replication order, tracking served
-            // volume separately so the float op order matches
-            // `merge_single_node_reports` over the chunk slice.
-            let mut acc: Option<(SingleNodeRunReport, Vec<f64>)> = None;
+            // Left-fold the chunk in replication order: the float op
+            // order of `merge_single_node_reports` over the chunk slice.
+            let mut fold: Option<SingleNodeFold> = None;
             for r in start..end {
-                let mut cfg = base.clone();
-                cfg.seed = base.seed.wrapping_add(r);
-                let mut sources = make_sources(r);
-                let rep = run_single_node_core_scratch(scratch, &mut sources, &cfg);
+                let cfg = SingleNodeRunConfig {
+                    seed: base.seed.wrapping_add(r),
+                    ..base.clone()
+                };
+                let rep = run_single_node_core_scratch(scratch, &mut make_sources(r), &cfg);
                 gps_obs::global_progress().add_done(1);
-                match &mut acc {
-                    None => {
-                        let vol = rep
-                            .sessions
-                            .iter()
-                            .map(|s| s.throughput * rep.measured_slots as f64)
-                            .collect();
-                        acc = Some((rep, vol));
-                    }
-                    Some((merged, vol)) => {
-                        assert_eq!(
-                            rep.sessions.len(),
-                            merged.sessions.len(),
-                            "mismatched session counts"
-                        );
-                        for (i, s) in rep.sessions.iter().enumerate() {
-                            merged.sessions[i].backlog.merge(&s.backlog);
-                            merged.sessions[i].delay.merge(&s.delay);
-                            merged.sessions[i].backlog_moments.merge(&s.backlog_moments);
-                            vol[i] += s.throughput * rep.measured_slots as f64;
-                        }
-                        merged.measured_slots += rep.measured_slots;
-                    }
+                match &mut fold {
+                    None => fold = Some(SingleNodeFold::new(rep)),
+                    Some(f) => f.push(&rep),
                 }
             }
-            let (mut merged, vol) = acc.expect("chunk ranges are non-empty");
-            for (s, v) in merged.sessions.iter_mut().zip(&vol) {
-                s.throughput = v / merged.measured_slots as f64;
-            }
-            gps_par::CacheAligned(merged)
+            gps_par::CacheAligned(fold.expect("chunk ranges are non-empty").finish())
         },
     );
     let partials: Vec<SingleNodeRunReport> = partials.into_iter().map(|c| c.0).collect();
@@ -970,6 +641,7 @@ pub fn merge_network_reports(reports: &[NetworkRunReport]) -> NetworkRunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::{run_campaign, Network, Replication, SingleNode, Supervisor};
     use gps_sources::{CbrSource, OnOffSource};
 
     fn grids() -> (Vec<f64>, Vec<f64>) {
@@ -1082,6 +754,19 @@ mod tests {
             .collect()
     }
 
+    /// A plain campaign of `n` replications over the paper's sources.
+    fn campaign<R: Replication>(
+        threads: usize,
+        base: &R::Config,
+        n: u64,
+        monitor: Option<&BoundMonitor>,
+    ) -> Vec<R::Report> {
+        let sup = Supervisor::new().with_threads(threads);
+        run_campaign::<R>(base, 0..n, |_| onoff_sources(), &sup, monitor)
+            .expect("campaign")
+            .completed()
+    }
+
     #[test]
     fn campaign_reports_match_manual_serial_runs() {
         let (bg, dg) = grids();
@@ -1094,9 +779,9 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let campaign = run_single_node_campaign_threads(3, &base, 4, |_| onoff_sources());
-        assert_eq!(campaign.len(), 4);
-        for (r, rep) in campaign.iter().enumerate() {
+        let reports = campaign::<SingleNode>(3, &base, 4, None);
+        assert_eq!(reports.len(), 4);
+        for (r, rep) in reports.iter().enumerate() {
             let mut cfg = base.clone();
             cfg.seed = base.seed + r as u64;
             let mut sources = onoff_sources();
@@ -1129,7 +814,10 @@ mod tests {
                 Box::new(OnOffSource::new(0.2, 0.4, 0.8)),
             ]
         };
-        let reports = run_single_node_campaign_threads(2, &base, 3, mk);
+        let reports =
+            run_campaign::<SingleNode>(&base, 0..3, mk, &Supervisor::new().with_threads(2), None)
+                .expect("campaign")
+                .completed();
         let merged = merge_single_node_reports(&reports);
         assert_eq!(merged.measured_slots, 3_000);
         let want: u64 = reports.iter().map(|r| r.sessions[0].backlog.len()).sum();
@@ -1153,8 +841,8 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let serial = run_network_campaign_threads(1, &base, 3, |_| onoff_sources());
-        let parallel = run_network_campaign_threads(3, &base, 3, |_| onoff_sources());
+        let serial = campaign::<Network>(1, &base, 3, None);
+        let parallel = campaign::<Network>(3, &base, 3, None);
         for (a, b) in serial.iter().zip(&parallel) {
             for i in 0..4 {
                 assert_eq!(a.backlog[i].series(), b.backlog[i].series());
@@ -1178,7 +866,7 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let reports = run_single_node_campaign_threads(2, &base, 2, |_| onoff_sources());
+        let reports = campaign::<SingleNode>(2, &base, 2, None);
         let merged = merge_single_node_reports(&reports);
 
         // A bound claiming essentially zero tail mass must be violated by
@@ -1229,10 +917,9 @@ mod tests {
             backlog_grid: bg,
             delay_grid: dg,
         };
-        let plain = run_network_campaign_threads(2, &base, 2, |_| onoff_sources());
+        let plain = campaign::<Network>(2, &base, 2, None);
         let mon = BoundMonitor::new(vec![SessionCurves::default(); 4]);
-        let monitored =
-            run_network_campaign_monitored_threads(2, &base, 2, |_| onoff_sources(), Some(&mon));
+        let monitored = campaign::<Network>(2, &base, 2, Some(&mon));
         for (a, b) in plain.iter().zip(&monitored) {
             for i in 0..4 {
                 assert_eq!(a.backlog[i].series(), b.backlog[i].series());

@@ -1,10 +1,14 @@
-//! Supervised campaigns: panic isolation, typed failures, deterministic
-//! retry, and crash-safe checkpoint/resume for the runners in [`runner`].
+//! The campaign funnel: panic isolation, typed failures, deterministic
+//! retry, and crash-safe checkpoint/resume for every model in [`crate::runner`].
 //!
-//! A plain campaign ([`runner::run_single_node_campaign`]) re-raises the
-//! first task panic and loses all completed work when the process dies.
-//! The supervised variants here wrap every replication in
-//! [`gps_par::par_try_map_indexed_retry_threads`] so that:
+//! A model implements [`Replication`] (run core over scratch, merge,
+//! metrics, monitor fold, fingerprint, checkpoint codec, validity
+//! check); [`SingleNode`] and [`Network`] are the two in tree.
+//! [`run_campaign`] is the one entry point: it runs a replication range
+//! of any model under a [`Supervisor`] — worker count, chunk size, retry
+//! budget, checkpoint, resume, fault injection — and a plain campaign
+//! is the same call with `Supervisor::new()`. Every replication runs
+//! inside [`gps_par::par_try_map_chunked`] so that:
 //!
 //! * a panicking replication is retried up to [`gps_par::RetryPolicy`]
 //!   attempts with the *same* replication seed (replication `r` always
@@ -22,7 +26,10 @@
 //!   inside the worker closure (so pool/metric accounting is identical)
 //!   and only missing indices are recomputed. Straight-through, killed +
 //!   resumed, and retried runs all produce byte-identical CSVs and
-//!   metrics JSON.
+//!   metrics JSON;
+//! * computed, restored, and remotely submitted reports all pass the
+//!   same [`Replication::check`] before they are folded, so a corrupt
+//!   line (say `"throughput":"nan"`) is recomputed, never merged.
 //!
 //! # Checkpoint file layout
 //!
@@ -52,12 +59,12 @@
 use crate::runner::{
     merge_network_reports, merge_single_node_reports, monitor_network_fold,
     monitor_single_node_fold, record_network_metrics, record_single_node_metrics, run_network_core,
-    run_single_node_core, NetworkRunConfig, NetworkRunReport, SessionReport, SingleNodeRunConfig,
-    SingleNodeRunReport,
+    run_single_node_core_scratch, NetworkRunConfig, NetworkRunReport, NetworkScratch,
+    SessionReport, SingleNodeRunConfig, SingleNodeRunReport, SingleNodeScratch,
 };
 use gps_ebb::numeric::NumericError;
 use gps_obs::json::{self, Json};
-use gps_obs::metrics::labeled;
+use gps_obs::metrics::{labeled, Registry};
 use gps_obs::monitor::BoundMonitor;
 use gps_par::{RetryPolicy, TaskOutcome, TaskReport};
 use gps_sources::spectral::ConvergenceError;
@@ -65,6 +72,7 @@ use gps_sources::SlotSource;
 use gps_stats::{BinnedCcdf, StreamingMoments};
 use std::collections::HashMap;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -92,11 +100,12 @@ pub enum SimError {
     /// running without the requested crash safety would be silent data
     /// loss).
     Checkpoint(String),
-    /// A replication produced a non-finite statistic.
-    NonFinite {
+    /// A replication's report failed [`Replication::check`] (a
+    /// non-finite statistic or an inconsistent sample count).
+    InvalidReport {
         /// The replication index.
         replication: u64,
-        /// Which statistic escaped.
+        /// Which invariant broke.
         what: &'static str,
     },
 }
@@ -114,8 +123,11 @@ impl std::fmt::Display for SimError {
             SimError::Convergence(e) => write!(f, "{e}"),
             SimError::Fault(e) => write!(f, "invalid fault config: {e}"),
             SimError::Checkpoint(msg) => write!(f, "checkpoint failure: {msg}"),
-            SimError::NonFinite { replication, what } => {
-                write!(f, "replication {replication} produced non-finite {what}")
+            SimError::InvalidReport { replication, what } => {
+                write!(
+                    f,
+                    "replication {replication} failed its report check: {what}"
+                )
             }
         }
     }
@@ -194,10 +206,17 @@ impl PanicInjection {
 /// the hook).
 pub type OnComplete = std::sync::Arc<dyn Fn(u64, &Json) -> Result<(), String> + Send + Sync>;
 
-/// How a supervised campaign should run: retry budget, optional
-/// checkpoint file, resume mode, and optional fault injection.
+/// How a campaign should run: worker count, chunk size, retry budget,
+/// optional checkpoint file, resume mode, and optional fault injection.
 #[derive(Clone, Default)]
 pub struct Supervisor {
+    /// Pool workers (0 → [`gps_par::max_threads`]).
+    pub threads: usize,
+    /// Replications per claimed task-queue chunk (`None` →
+    /// [`gps_par::chunk_size`] default). Chunking only shapes scheduling:
+    /// results, restores, retries and quarantines are identical for every
+    /// `(threads, chunk)` combination.
+    pub chunk: Option<usize>,
     /// Retry policy for panicking replications (default: one retry).
     pub retry: RetryPolicy,
     /// Checkpoint NDJSON path; `None` disables checkpointing.
@@ -217,6 +236,8 @@ pub struct Supervisor {
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
+            .field("threads", &self.threads)
+            .field("chunk", &self.chunk)
             .field("retry", &self.retry)
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
@@ -227,9 +248,22 @@ impl std::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with default retry, no checkpoint, no injection.
+    /// A supervisor with every worker, default chunking, default retry,
+    /// no checkpoint, no injection.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets the worker count (0 → [`gps_par::max_threads`]).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Sets the chunk size (`None` → [`gps_par::chunk_size`] default).
+    pub fn with_chunk(mut self, chunk: Option<usize>) -> Self {
+        self.chunk = chunk;
+        self
     }
 
     /// Sets the checkpoint path.
@@ -311,29 +345,6 @@ pub fn fingerprint_single_node(cfg: &SingleNodeRunConfig) -> u64 {
     let mut s = String::from("single_node;");
     push_f64s(&mut s, "phis", &cfg.phis);
     push_f64s(&mut s, "capacity", &[cfg.capacity]);
-    s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
-    push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
-    push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
-    fnv1a(&s)
-}
-
-/// Network analogue of [`fingerprint_single_node`].
-pub fn fingerprint_network(cfg: &NetworkRunConfig) -> u64 {
-    let mut s = String::from("network;");
-    let topo = &cfg.topology;
-    let rates: Vec<f64> = (0..topo.num_nodes()).map(|m| topo.node_rate(m)).collect();
-    push_f64s(&mut s, "node_rates", &rates);
-    for (i, sess) in topo.sessions().iter().enumerate() {
-        s.push_str(&format!("session{i}:"));
-        for &n in &sess.route {
-            s.push_str(&format!("{n},"));
-        }
-        s.push('|');
-        for p in &sess.phis {
-            s.push_str(&format!("{:016x},", p.to_bits()));
-        }
-        s.push(';');
-    }
     s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
     push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
     push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
@@ -467,39 +478,6 @@ pub fn single_node_report_from_json(
     })
 }
 
-/// Checkpoint payload for one network replication.
-pub fn network_report_to_json(report: &NetworkRunReport) -> Json {
-    let arr = |ccdfs: &[BinnedCcdf]| Json::Arr(ccdfs.iter().map(ccdf_to_json).collect());
-    Json::Obj(vec![
-        (
-            "measured_slots".to_string(),
-            Json::U64(report.measured_slots),
-        ),
-        ("backlog".to_string(), arr(&report.backlog)),
-        ("delay".to_string(), arr(&report.delay)),
-    ])
-}
-
-/// Inverse of [`network_report_to_json`].
-pub fn network_report_from_json(cfg: &NetworkRunConfig, j: &Json) -> Option<NetworkRunReport> {
-    let measured_slots = j.get("measured_slots")?.as_u64()?;
-    let n = cfg.topology.num_sessions();
-    let decode = |key: &str, grid: &[f64]| -> Option<Vec<BinnedCcdf>> {
-        let Json::Arr(items) = j.get(key)? else {
-            return None;
-        };
-        if items.len() != n {
-            return None;
-        }
-        items.iter().map(|c| ccdf_from_json(grid, c)).collect()
-    };
-    Some(NetworkRunReport {
-        backlog: decode("backlog", &cfg.backlog_grid)?,
-        delay: decode("delay", &cfg.delay_grid)?,
-        measured_slots,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Checkpoint file
 
@@ -594,7 +572,7 @@ impl CheckpointFile {
                         if line.trim().is_empty() {
                             continue;
                         }
-                        match Self::decode_line(line, kind, fingerprint, seed) {
+                        match decode_checkpoint_line(line, kind, fingerprint, seed) {
                             Some((r, report)) => {
                                 restored.insert(r, report);
                             }
@@ -640,12 +618,6 @@ impl CheckpointFile {
             },
             restored,
         ))
-    }
-
-    /// Parses one checkpoint line, returning the replication payload when
-    /// the line is well-formed and belongs to this campaign.
-    fn decode_line(line: &str, kind: &str, fingerprint: u64, seed: u64) -> Option<(u64, Json)> {
-        decode_checkpoint_line(line, kind, fingerprint, seed)
     }
 
     /// Appends one completed replication as a full line. Append failures
@@ -748,14 +720,277 @@ impl CheckpointFile {
 }
 
 // ---------------------------------------------------------------------
-// Supervised campaign runners
+// The replication contract
 
-/// Quarantine/fold bookkeeping shared by both campaign kinds. Restores
-/// are journal-only (no counters) so a resumed run's metrics snapshot is
-/// byte-identical to a straight-through run's; quarantines *do* move
-/// counters — they only occur under real or injected faults. `start`
-/// offsets task indices into absolute replication indices for
-/// range-sharded campaigns.
+/// A Monte Carlo model the campaign funnel can run: everything
+/// [`run_campaign`] needs to know about one model, so supervision,
+/// checkpoints, the monitor fold and sharding are written once for all
+/// of them.
+///
+/// Replication `r` of a campaign runs [`run_core`](Self::run_core) on
+/// the base config re-seeded to `seed(base) + r`, with fresh sources
+/// from the caller's factory and the worker's reusable scratch. The
+/// report must be a pure function of `(sources, config)` — a reused
+/// scratch must produce the same bits as a fresh one — which is what
+/// makes campaigns byte-identical across threads, chunks, resume and
+/// distribution.
+pub trait Replication {
+    /// Run configuration; its seed is the campaign's base seed.
+    type Config: Clone + Sync;
+    /// Per-worker state reused across the replications a worker drains.
+    type Scratch: Default;
+    /// One replication's measurements.
+    type Report: Clone + Send + Sync;
+
+    /// Model tag on checkpoint lines, journal events and progress.
+    const KIND: &'static str;
+
+    /// The config's master seed.
+    fn seed(cfg: &Self::Config) -> u64;
+    /// `cfg` with its master seed replaced by `seed`.
+    fn with_seed(cfg: &Self::Config, seed: u64) -> Self::Config;
+    /// Runs one replication over `scratch` (no global metrics fold).
+    fn run_core(
+        scratch: &mut Self::Scratch,
+        sources: &mut [Box<dyn SlotSource>],
+        cfg: &Self::Config,
+    ) -> Self::Report;
+    /// Pools replication reports in slice order.
+    fn merge(reports: &[Self::Report]) -> Self::Report;
+    /// Folds one report into `registry`.
+    fn record_metrics(registry: &Registry, report: &Self::Report);
+    /// Checks a pooled report against `monitor`'s curves; returns the
+    /// number of violating grid points.
+    fn monitor_fold(
+        monitor: &BoundMonitor,
+        registry: &Registry,
+        merged: &Self::Report,
+        fold: u64,
+    ) -> u64;
+    /// Fingerprint of everything in `cfg` but the seed.
+    fn fingerprint(cfg: &Self::Config) -> u64;
+    /// Checkpoint payload of one report (grids omitted — the
+    /// fingerprint pins them).
+    fn to_json(report: &Self::Report) -> Json;
+    /// Inverse of [`to_json`](Self::to_json); `None` on any structural
+    /// mismatch with `cfg`.
+    fn from_json(cfg: &Self::Config, payload: &Json) -> Option<Self::Report>;
+    /// Semantic validity: `Err` names the first broken invariant. Every
+    /// report passes this before it is folded — computed, restored from
+    /// a checkpoint, or submitted by a remote worker.
+    fn check(report: &Self::Report) -> Result<(), &'static str>;
+
+    /// Decodes a checkpoint payload and applies [`check`](Self::check):
+    /// the one gate for reports that crossed a file or a socket.
+    fn decode(cfg: &Self::Config, payload: &Json) -> Option<Self::Report> {
+        Self::from_json(cfg, payload).filter(|report| Self::check(report).is_ok())
+    }
+}
+
+/// The single-node slotted GPS model ([`crate::runner::run_single_node_core`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SingleNode;
+
+impl Replication for SingleNode {
+    type Config = SingleNodeRunConfig;
+    type Scratch = SingleNodeScratch;
+    type Report = SingleNodeRunReport;
+
+    const KIND: &'static str = "single_node";
+
+    fn seed(cfg: &SingleNodeRunConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn with_seed(cfg: &SingleNodeRunConfig, seed: u64) -> SingleNodeRunConfig {
+        SingleNodeRunConfig {
+            seed,
+            ..cfg.clone()
+        }
+    }
+
+    fn run_core(
+        scratch: &mut SingleNodeScratch,
+        sources: &mut [Box<dyn SlotSource>],
+        cfg: &SingleNodeRunConfig,
+    ) -> SingleNodeRunReport {
+        run_single_node_core_scratch(scratch, sources, cfg)
+    }
+
+    fn merge(reports: &[SingleNodeRunReport]) -> SingleNodeRunReport {
+        merge_single_node_reports(reports)
+    }
+
+    fn record_metrics(registry: &Registry, report: &SingleNodeRunReport) {
+        record_single_node_metrics(registry, report);
+    }
+
+    fn monitor_fold(
+        monitor: &BoundMonitor,
+        registry: &Registry,
+        merged: &SingleNodeRunReport,
+        fold: u64,
+    ) -> u64 {
+        monitor_single_node_fold(monitor, registry, merged, fold)
+    }
+
+    fn fingerprint(cfg: &SingleNodeRunConfig) -> u64 {
+        fingerprint_single_node(cfg)
+    }
+
+    fn to_json(report: &SingleNodeRunReport) -> Json {
+        single_node_report_to_json(report)
+    }
+
+    fn from_json(cfg: &SingleNodeRunConfig, payload: &Json) -> Option<SingleNodeRunReport> {
+        single_node_report_from_json(cfg, payload)
+    }
+
+    /// Finite throughput and moments with `M2 ≥ 0`; one backlog sample
+    /// and one moments sample per measured slot; at most one delay
+    /// sample per measured slot.
+    fn check(report: &SingleNodeRunReport) -> Result<(), &'static str> {
+        let slots = report.measured_slots;
+        for s in &report.sessions {
+            let m = &s.backlog_moments;
+            if !s.throughput.is_finite() {
+                return Err("throughput");
+            }
+            if !m.mean().is_finite() || !m.m2().is_finite() || m.m2() < 0.0 {
+                return Err("backlog_moments");
+            }
+            if s.backlog.len() != slots || m.count() != slots {
+                return Err("backlog_count");
+            }
+            if s.delay.len() > slots {
+                return Err("delay_count");
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The multi-node network model ([`crate::runner::run_network`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Network;
+
+impl Replication for Network {
+    type Config = NetworkRunConfig;
+    type Scratch = NetworkScratch;
+    type Report = NetworkRunReport;
+
+    const KIND: &'static str = "network";
+
+    fn seed(cfg: &NetworkRunConfig) -> u64 {
+        cfg.seed
+    }
+
+    fn with_seed(cfg: &NetworkRunConfig, seed: u64) -> NetworkRunConfig {
+        NetworkRunConfig {
+            seed,
+            ..cfg.clone()
+        }
+    }
+
+    fn run_core(
+        scratch: &mut NetworkScratch,
+        sources: &mut [Box<dyn SlotSource>],
+        cfg: &NetworkRunConfig,
+    ) -> NetworkRunReport {
+        run_network_core(scratch, sources, cfg)
+    }
+
+    fn merge(reports: &[NetworkRunReport]) -> NetworkRunReport {
+        merge_network_reports(reports)
+    }
+
+    fn record_metrics(registry: &Registry, report: &NetworkRunReport) {
+        record_network_metrics(registry, report);
+    }
+
+    fn monitor_fold(
+        monitor: &BoundMonitor,
+        registry: &Registry,
+        merged: &NetworkRunReport,
+        fold: u64,
+    ) -> u64 {
+        monitor_network_fold(monitor, registry, merged, fold)
+    }
+
+    fn fingerprint(cfg: &NetworkRunConfig) -> u64 {
+        let mut s = String::from("network;");
+        let topo = &cfg.topology;
+        let rates: Vec<f64> = (0..topo.num_nodes()).map(|m| topo.node_rate(m)).collect();
+        push_f64s(&mut s, "node_rates", &rates);
+        for (i, sess) in topo.sessions().iter().enumerate() {
+            s.push_str(&format!("session{i}:"));
+            for &n in &sess.route {
+                s.push_str(&format!("{n},"));
+            }
+            s.push('|');
+            for p in &sess.phis {
+                s.push_str(&format!("{:016x},", p.to_bits()));
+            }
+            s.push(';');
+        }
+        s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
+        push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
+        push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
+        fnv1a(&s)
+    }
+
+    fn to_json(report: &NetworkRunReport) -> Json {
+        let arr = |ccdfs: &[BinnedCcdf]| Json::Arr(ccdfs.iter().map(ccdf_to_json).collect());
+        Json::Obj(vec![
+            (
+                "measured_slots".to_string(),
+                Json::U64(report.measured_slots),
+            ),
+            ("backlog".to_string(), arr(&report.backlog)),
+            ("delay".to_string(), arr(&report.delay)),
+        ])
+    }
+
+    fn from_json(cfg: &NetworkRunConfig, payload: &Json) -> Option<NetworkRunReport> {
+        let measured_slots = payload.get("measured_slots")?.as_u64()?;
+        let n = cfg.topology.num_sessions();
+        let decode = |key: &str, grid: &[f64]| -> Option<Vec<BinnedCcdf>> {
+            let Json::Arr(items) = payload.get(key)? else {
+                return None;
+            };
+            if items.len() != n {
+                return None;
+            }
+            items.iter().map(|c| ccdf_from_json(grid, c)).collect()
+        };
+        Some(NetworkRunReport {
+            backlog: decode("backlog", &cfg.backlog_grid)?,
+            delay: decode("delay", &cfg.delay_grid)?,
+            measured_slots,
+        })
+    }
+
+    /// One network-backlog sample per session per measured slot.
+    fn check(report: &NetworkRunReport) -> Result<(), &'static str> {
+        if report
+            .backlog
+            .iter()
+            .any(|b| b.len() != report.measured_slots)
+        {
+            return Err("backlog_count");
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The campaign funnel
+
+/// Quarantine/fold bookkeeping. Restores are journal-only (no counters)
+/// so a resumed run's metrics snapshot is byte-identical to a
+/// straight-through run's; quarantines *do* move counters — they only
+/// occur under real or injected faults. `start` offsets task indices
+/// into absolute replication indices for range-sharded campaigns.
 fn account_outcomes<R>(
     campaign: &str,
     tasks: &[TaskReport<R, SimError>],
@@ -814,135 +1049,42 @@ fn account_outcomes<R>(
     quarantined
 }
 
-/// Rejects single-node reports carrying non-finite statistics (a NaN
-/// escape upstream would otherwise poison merged CSVs silently).
-fn validate_single_node_report(
-    replication: u64,
-    report: &SingleNodeRunReport,
-) -> Result<(), SimError> {
-    for s in &report.sessions {
-        if !s.throughput.is_finite() {
-            return Err(SimError::NonFinite {
-                replication,
-                what: "throughput",
-            });
-        }
-        let m = &s.backlog_moments;
-        if !m.mean().is_finite() || !m.m2().is_finite() {
-            return Err(SimError::NonFinite {
-                replication,
-                what: "backlog_moments",
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Supervised [`runner::run_single_node_campaign`]: panics isolated and
-/// retried per [`Supervisor::retry`], completed replications checkpointed
-/// (and restored when [`Supervisor::resume`]), quarantines surfaced via
-/// counters and warn events. Metrics and monitor folds happen after the
-/// join in replication order over the completed reports, so worker count
-/// and resume state never change the snapshot.
-pub fn run_supervised_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
+/// Runs replications `range` of the campaign `base` under `supervisor`
+/// — the one campaign funnel every model and caller goes through.
+///
+/// Replication `r` uses master seed `seed(base) + r` and fresh sources
+/// from `make_sources(r)`, wherever the range starts, so sharded runs
+/// compose into exactly the reports a full run produces. The
+/// supervisor's `threads` workers (0 → [`gps_par::max_threads`]) drain
+/// `chunk`-sized ranges of replications, each over its own reusable
+/// [`Replication::Scratch`] (rebuilt after a caught panic). Panics are
+/// retried per [`Supervisor::retry`] and then quarantined; computed
+/// reports must pass [`Replication::check`]; completed replications are
+/// checkpointed (and restored when [`Supervisor::resume`], if they
+/// decode and pass the same check). Metrics and the optional monitor
+/// fold happen after the join, in replication order over the completed
+/// reports, so worker count, chunk size and resume state never change
+/// the output. A plain campaign is this with `Supervisor::new()`.
+pub fn run_campaign<R: Replication>(
+    base: &R::Config,
+    range: Range<u64>,
+    make_sources: impl Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
     supervisor: &Supervisor,
     monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign`] with an explicit worker count.
-pub fn run_supervised_single_node_campaign_threads<F>(
-    threads: usize,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign_threads`] with an explicit
-/// chunk size for the worker task queue (`None` →
-/// [`gps_par::chunk_size`] default). Chunking only shapes scheduling:
-/// restore, retry, and quarantine behavior are identical for every
-/// `(threads, chunk)` combination.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_single_node_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_single_node_campaign_range_chunked_threads(
-        threads,
-        chunk,
-        base,
-        0..replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_single_node_campaign_chunked_threads`] over an
-/// arbitrary replication range — the shard engine behind
-/// [`crate::orchestrate`] workers. Replication `r` still uses master
-/// seed `base.seed + r` regardless of where the range starts, so
-/// sharded runs compose into exactly the reports a full local run
-/// produces.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_single_node_campaign_range_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &SingleNodeRunConfig,
-    range: std::ops::Range<u64>,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
+) -> Result<CampaignOutcome<R::Report>, SimError> {
+    let threads = match supervisor.threads {
+        0 => gps_par::max_threads(),
+        t => t,
+    };
+    let seed = R::seed(base);
     let count = range.end.saturating_sub(range.start);
     gps_obs::info(
         "sim.supervise",
-        "single_node_campaign",
+        &format!("{}_campaign", R::KIND),
         &[
             ("replications", count.into()),
             ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
+            ("base_seed", seed.into()),
             ("resume", supervisor.resume.into()),
             (
                 "max_attempts",
@@ -950,44 +1092,42 @@ where
             ),
         ],
     );
-    let _span = gps_obs::span("sim/supervised_single_node_campaign");
-    gps_obs::global_progress().begin_campaign("supervised_single_node", count);
-    let opened = match &supervisor.checkpoint {
+    let _span = gps_obs::span(&format!("sim/supervised_{}_campaign", R::KIND));
+    gps_obs::global_progress().begin_campaign(&format!("supervised_{}", R::KIND), count);
+    let (ckpt, payloads) = match &supervisor.checkpoint {
         Some(path) => {
-            let fp = fingerprint_single_node(base);
-            let (ckpt, map) =
-                CheckpointFile::open(path, "single_node", fp, base.seed, supervisor.resume)?;
+            let fp = R::fingerprint(base);
+            let (ckpt, map) = CheckpointFile::open(path, R::KIND, fp, seed, supervisor.resume)?;
             (Some(ckpt), map)
         }
         None => (None, HashMap::new()),
     };
-    let (ckpt, restored_map) = opened;
-    let restored = restored_map
-        .keys()
-        .filter(|&&r| range.contains(&r))
-        .filter(|&r| {
-            // Only count payloads that actually decode; broken ones are
-            // recomputed below.
-            single_node_report_from_json(base, &restored_map[r]).is_some()
-        })
-        .count() as u64;
+    // Only in-range payloads that decode and pass the check restore;
+    // anything else is recomputed.
+    let restorable: HashMap<u64, R::Report> = payloads
+        .into_iter()
+        .filter(|(r, _)| range.contains(r))
+        .filter_map(|(r, payload)| Some((r, R::decode(base, &payload)?)))
+        .collect();
+    let restored = restorable.len() as u64;
     let reps: Vec<u64> = range.clone().collect();
-    let tasks = gps_par::par_try_map_indexed_retry_chunked_threads(
+    let tasks = gps_par::par_try_map_chunked(
         threads,
-        chunk,
+        supervisor.chunk,
         &reps,
         supervisor.retry,
-        |_, attempt, &r| -> Result<SingleNodeRunReport, SimError> {
-            if let Some(payload) = restored_map.get(&r) {
-                if let Some(report) = single_node_report_from_json(base, payload) {
-                    gps_obs::trace::instant(
-                        gps_obs::TraceKind::CheckpointRestore,
-                        "checkpoint_restore",
-                        r,
-                    );
-                    gps_obs::global_progress().add_restored(1);
-                    return Ok(report);
-                }
+        R::Scratch::default,
+        |scratch, _, attempt, &r| -> Result<R::Report, SimError> {
+            // Restores short-circuit inside the task so pool and metric
+            // accounting match a straight-through run.
+            if let Some(report) = restorable.get(&r) {
+                gps_obs::trace::instant(
+                    gps_obs::TraceKind::CheckpointRestore,
+                    "checkpoint_restore",
+                    r,
+                );
+                gps_obs::global_progress().add_restored(1);
+                return Ok(report.clone());
             }
             if attempt > 1 {
                 gps_obs::global_progress().add_retried(1);
@@ -995,16 +1135,15 @@ where
             if let Some(inj) = &supervisor.inject {
                 inj.arm(r, attempt);
             }
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
+            let cfg = R::with_seed(base, seed.wrapping_add(r));
             let mut sources = make_sources(r);
-            let report = run_single_node_core(&mut sources, &cfg);
-            validate_single_node_report(r, &report)?;
-            let payload = if ckpt.is_some() || supervisor.on_complete.is_some() {
-                Some(single_node_report_to_json(&report))
-            } else {
-                None
-            };
+            let report = R::run_core(scratch, &mut sources, &cfg);
+            R::check(&report).map_err(|what| SimError::InvalidReport {
+                replication: r,
+                what,
+            })?;
+            let payload =
+                (ckpt.is_some() || supervisor.on_complete.is_some()).then(|| R::to_json(&report));
             if let (Some(c), Some(p)) = (&ckpt, &payload) {
                 c.append(r, p.clone());
             }
@@ -1021,27 +1160,25 @@ where
         c.sync();
     }
     drop(ckpt);
-    for t in &tasks {
-        if let TaskOutcome::Ok(report) = &t.outcome {
-            record_single_node_metrics(gps_obs::metrics(), report);
-        }
+    let completed = || tasks.iter().filter_map(|t| t.outcome.as_ok());
+    for report in completed() {
+        R::record_metrics(gps_obs::metrics(), report);
     }
-    let quarantined = account_outcomes("single_node", &tasks, restored, range.start);
+    let quarantined = account_outcomes(R::KIND, &tasks, restored, range.start);
     if let Some(mon) = monitor {
-        let mut merged: Option<SingleNodeRunReport> = None;
-        let mut fold = 0u64;
-        for t in &tasks {
-            let TaskOutcome::Ok(report) = &t.outcome else {
-                continue;
-            };
+        // Check the merged-so-far tails after every fold, so a violation
+        // is caught at the earliest replication the pooled evidence
+        // supports.
+        let mut merged: Option<R::Report> = None;
+        for (fold, report) in completed().enumerate() {
+            let fold = fold as u64;
             let _t = gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold);
             let pooled = match merged.take() {
                 None => report.clone(),
-                Some(prev) => merge_single_node_reports(&[prev, report.clone()]),
+                Some(prev) => R::merge(&[prev, report.clone()]),
             };
-            monitor_single_node_fold(mon, gps_obs::metrics(), &pooled, fold);
+            R::monitor_fold(mon, gps_obs::metrics(), &pooled, fold);
             merged = Some(pooled);
-            fold += 1;
         }
     }
     if gps_obs::global().timing_enabled() {
@@ -1052,219 +1189,15 @@ where
         restored,
         quarantined,
     })
-}
-
-/// Resume convenience: supervised single-node campaign with
-/// checkpointing at `checkpoint`, resume on, injection from the
-/// environment, and default retry.
-pub fn resume_single_node_campaign<F>(
-    base: &SingleNodeRunConfig,
-    replications: u64,
-    make_sources: F,
-    checkpoint: impl Into<PathBuf>,
-) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    let sup = Supervisor::new()
-        .with_checkpoint(checkpoint)
-        .with_resume(true)
-        .with_inject(PanicInjection::from_env());
-    run_supervised_single_node_campaign(base, replications, make_sources, &sup, None)
-}
-
-/// Network analogue of [`run_supervised_single_node_campaign`].
-pub fn run_supervised_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_network_campaign_threads(
-        gps_par::max_threads(),
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// [`run_supervised_network_campaign`] with an explicit worker count.
-pub fn run_supervised_network_campaign_threads<F>(
-    threads: usize,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    run_supervised_network_campaign_chunked_threads(
-        threads,
-        None,
-        base,
-        replications,
-        make_sources,
-        supervisor,
-        monitor,
-    )
-}
-
-/// Network analogue of
-/// [`run_supervised_single_node_campaign_chunked_threads`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_network_campaign_chunked_threads<F>(
-    threads: usize,
-    chunk: Option<usize>,
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    supervisor: &Supervisor,
-    monitor: Option<&BoundMonitor>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    gps_obs::info(
-        "sim.supervise",
-        "network_campaign",
-        &[
-            ("replications", replications.into()),
-            ("threads", (threads as u64).into()),
-            ("base_seed", base.seed.into()),
-            ("resume", supervisor.resume.into()),
-            (
-                "max_attempts",
-                u64::from(supervisor.retry.max_attempts).into(),
-            ),
-        ],
-    );
-    let _span = gps_obs::span("sim/supervised_network_campaign");
-    gps_obs::global_progress().begin_campaign("supervised_network", replications);
-    let opened = match &supervisor.checkpoint {
-        Some(path) => {
-            let fp = fingerprint_network(base);
-            let (ckpt, map) =
-                CheckpointFile::open(path, "network", fp, base.seed, supervisor.resume)?;
-            (Some(ckpt), map)
-        }
-        None => (None, HashMap::new()),
-    };
-    let (ckpt, restored_map) = opened;
-    let restored = restored_map
-        .keys()
-        .filter(|&&r| r < replications)
-        .filter(|&r| network_report_from_json(base, &restored_map[r]).is_some())
-        .count() as u64;
-    let reps: Vec<u64> = (0..replications).collect();
-    let tasks = gps_par::par_try_map_indexed_retry_chunked_threads(
-        threads,
-        chunk,
-        &reps,
-        supervisor.retry,
-        |_, attempt, &r| -> Result<NetworkRunReport, SimError> {
-            if let Some(payload) = restored_map.get(&r) {
-                if let Some(report) = network_report_from_json(base, payload) {
-                    gps_obs::trace::instant(
-                        gps_obs::TraceKind::CheckpointRestore,
-                        "checkpoint_restore",
-                        r,
-                    );
-                    gps_obs::global_progress().add_restored(1);
-                    return Ok(report);
-                }
-            }
-            if attempt > 1 {
-                gps_obs::global_progress().add_retried(1);
-            }
-            if let Some(inj) = &supervisor.inject {
-                inj.arm(r, attempt);
-            }
-            let mut cfg = base.clone();
-            cfg.seed = base.seed.wrapping_add(r);
-            let mut sources = make_sources(r);
-            let report = run_network_core(&mut sources, &cfg);
-            let payload = if ckpt.is_some() || supervisor.on_complete.is_some() {
-                Some(network_report_to_json(&report))
-            } else {
-                None
-            };
-            if let (Some(c), Some(p)) = (&ckpt, &payload) {
-                c.append(r, p.clone());
-            }
-            if let (Some(hook), Some(p)) = (&supervisor.on_complete, &payload) {
-                hook(r, p).map_err(SimError::Checkpoint)?;
-            }
-            gps_obs::global_progress().add_done(1);
-            Ok(report)
-        },
-    );
-    if let Some(c) = &ckpt {
-        c.sync();
-    }
-    drop(ckpt);
-    for t in &tasks {
-        if let TaskOutcome::Ok(report) = &t.outcome {
-            record_network_metrics(gps_obs::metrics(), report);
-        }
-    }
-    let quarantined = account_outcomes("network", &tasks, restored, 0);
-    if let Some(mon) = monitor {
-        let mut merged: Option<NetworkRunReport> = None;
-        let mut fold = 0u64;
-        for t in &tasks {
-            let TaskOutcome::Ok(report) = &t.outcome else {
-                continue;
-            };
-            let _t = gps_obs::trace::scope(gps_obs::TraceKind::MonitorFold, "monitor_fold", fold);
-            let pooled = match merged.take() {
-                None => report.clone(),
-                Some(prev) => merge_network_reports(&[prev, report.clone()]),
-            };
-            monitor_network_fold(mon, gps_obs::metrics(), &pooled, fold);
-            merged = Some(pooled);
-            fold += 1;
-        }
-    }
-    if gps_obs::global().timing_enabled() {
-        gps_obs::global_progress().publish_gauges(gps_obs::metrics());
-    }
-    Ok(CampaignOutcome {
-        tasks,
-        restored,
-        quarantined,
-    })
-}
-
-/// Resume convenience for network campaigns (see
-/// [`resume_single_node_campaign`]).
-pub fn resume_network_campaign<F>(
-    base: &NetworkRunConfig,
-    replications: u64,
-    make_sources: F,
-    checkpoint: impl Into<PathBuf>,
-) -> Result<CampaignOutcome<NetworkRunReport>, SimError>
-where
-    F: Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
-{
-    let sup = Supervisor::new()
-        .with_checkpoint(checkpoint)
-        .with_resume(true)
-        .with_inject(PanicInjection::from_env());
-    run_supervised_network_campaign(base, replications, make_sources, &sup, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_single_node_core;
     use gps_sources::OnOffSource;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn grids() -> (Vec<f64>, Vec<f64>) {
         let b: Vec<f64> = (0..20).map(|i| i as f64 * 0.5).collect();
@@ -1290,6 +1223,18 @@ mod tests {
             .into_iter()
             .map(|s| Box::new(s) as Box<dyn SlotSource>)
             .collect()
+    }
+
+    /// A single-node campaign of replications `0..n` on `threads` workers.
+    fn campaign(
+        threads: usize,
+        base: &SingleNodeRunConfig,
+        n: u64,
+        make_sources: impl Fn(u64) -> Vec<Box<dyn SlotSource>> + Sync,
+        sup: &Supervisor,
+    ) -> Result<CampaignOutcome<SingleNodeRunReport>, SimError> {
+        let sup = sup.clone().with_threads(threads);
+        run_campaign::<SingleNode>(base, 0..n, make_sources, &sup, None)
     }
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -1334,20 +1279,18 @@ mod tests {
     }
 
     #[test]
-    fn supervised_matches_plain_campaign() {
+    fn supervised_matches_direct_core_runs() {
         let base = base_cfg(0x5EED);
-        let plain =
-            crate::runner::run_single_node_campaign_threads(2, &base, 3, |_| onoff_sources());
+        let plain: Vec<SingleNodeRunReport> = (0..3)
+            .map(|r| {
+                run_single_node_core(
+                    &mut onoff_sources(),
+                    &SingleNode::with_seed(&base, base.seed + r),
+                )
+            })
+            .collect();
         let sup = Supervisor::new();
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            3,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = campaign(2, &base, 3, |_| onoff_sources(), &sup).unwrap();
         assert_eq!(out.restored, 0);
         assert!(out.quarantined.is_empty());
         let completed = out.completed();
@@ -1362,31 +1305,57 @@ mod tests {
         let base = base_cfg(0xC0);
         let path = temp_path("resume_all");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let first = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
+        let first = campaign(2, &base, 4, |_| onoff_sources(), &sup).unwrap();
+        assert_eq!(first.restored, 0);
+        // Two corrupt lines for replications 4 and 5 that decode but fail
+        // the check: a NaN throughput, and a backlog CCDF total beyond
+        // the measured slots. Both must be recomputed, not restored.
+        let run = |r: u64| {
+            run_single_node_core(
+                &mut onoff_sources(),
+                &SingleNode::with_seed(&base, base.seed + r),
+            )
+        };
+        let mut nan = run(4);
+        nan.sessions[0].throughput = f64::NAN;
+        let mut inflated = run(5);
+        let b = &inflated.sessions[1].backlog;
+        inflated.sessions[1].backlog = BinnedCcdf::from_parts(
+            base.backlog_grid.clone(),
+            b.exceed_counts().to_vec(),
+            b.len() + 1,
         )
         .unwrap();
-        assert_eq!(first.restored, 0);
-        // Resume: every replication restored, no recomputation — and a
-        // poisoned make_sources proves nothing runs.
-        let resumed = run_supervised_single_node_campaign_threads(
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        for (r, report) in [(4, &nan), (5, &inflated)] {
+            let fp = fingerprint_single_node(&base);
+            let payload = single_node_report_to_json(report);
+            text.push_str(&checkpoint_line("single_node", fp, base.seed, r, &payload));
+            text.push('\n');
+        }
+        std::fs::write(&path, text).unwrap();
+        // Resume: every valid replication restored, no recomputation —
+        // and a make_sources poisoned below replication 4 proves nothing
+        // restorable runs.
+        let resumed = campaign(
             2,
             &base,
-            4,
-            |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
+            6,
+            |r| -> Vec<Box<dyn SlotSource>> {
+                assert!(r >= 4, "must not recompute");
+                onoff_sources()
+            },
             &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
         )
         .unwrap();
         assert_eq!(resumed.restored, 4);
         for (a, b) in first.completed().iter().zip(&resumed.completed()) {
             assert_reports_equal(a, b);
         }
+        let resumed = resumed.completed();
+        assert_eq!(resumed.len(), 6);
+        assert_reports_equal(&resumed[4], &run(4));
+        assert_reports_equal(&resumed[5], &run(5));
         std::fs::remove_file(&path).ok();
     }
 
@@ -1395,15 +1364,7 @@ mod tests {
         let base = base_cfg(0xD1);
         let path = temp_path("truncated");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let straight = run_supervised_single_node_campaign_threads(
-            1,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let straight = campaign(1, &base, 4, |_| onoff_sources(), &sup).unwrap();
         // Kill mid-write: keep two full lines plus half of the third.
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();
@@ -1415,13 +1376,12 @@ mod tests {
             &lines[2][..lines[2].len() / 2]
         );
         std::fs::write(&path, truncated).unwrap();
-        let resumed = run_supervised_single_node_campaign_threads(
+        let resumed = campaign(
             2,
             &base,
             4,
             |_| onoff_sources(),
             &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
         )
         .unwrap();
         assert_eq!(resumed.restored, 2);
@@ -1429,13 +1389,12 @@ mod tests {
             assert_reports_equal(a, b);
         }
         // The repaired file now restores all four.
-        let again = run_supervised_single_node_campaign_threads(
+        let again = campaign(
             1,
             &base,
             4,
             |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
             &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
         )
         .unwrap();
         assert_eq!(again.restored, 4);
@@ -1447,18 +1406,16 @@ mod tests {
         let base = base_cfg(0xE2);
         let path = temp_path("stale");
         let sup = Supervisor::new().with_checkpoint(&path);
-        run_supervised_single_node_campaign_threads(1, &base, 2, |_| onoff_sources(), &sup, None)
-            .unwrap();
+        campaign(1, &base, 2, |_| onoff_sources(), &sup).unwrap();
         // Same file, different config shape: nothing restorable.
         let mut other = base_cfg(0xE2);
         other.capacity = 2.0;
-        let resumed = run_supervised_single_node_campaign_threads(
+        let resumed = campaign(
             1,
             &other,
             2,
             |_| onoff_sources(),
             &Supervisor::new().with_checkpoint(&path).with_resume(true),
-            None,
         )
         .unwrap();
         assert_eq!(resumed.restored, 0);
@@ -1472,15 +1429,7 @@ mod tests {
             replication: 2,
             once: false,
         }));
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            5,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = campaign(2, &base, 5, |_| onoff_sources(), &sup).unwrap();
         assert_eq!(out.quarantined, vec![2]);
         assert_eq!(out.completed().len(), 4);
         assert!(matches!(
@@ -1495,31 +1444,84 @@ mod tests {
     #[test]
     fn transient_injection_recovers_byte_identically() {
         let base = base_cfg(0x1234);
-        let clean = run_supervised_single_node_campaign_threads(
-            1,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &Supervisor::new(),
-            None,
-        )
-        .unwrap();
+        let clean = campaign(1, &base, 4, |_| onoff_sources(), &Supervisor::new()).unwrap();
         let sup = Supervisor::new().with_inject(Some(PanicInjection {
             replication: 1,
             once: true,
         }));
-        let out = run_supervised_single_node_campaign_threads(
-            2,
-            &base,
-            4,
-            |_| onoff_sources(),
-            &sup,
-            None,
-        )
-        .unwrap();
+        let out = campaign(2, &base, 4, |_| onoff_sources(), &sup).unwrap();
         assert!(out.quarantined.is_empty());
         assert_eq!(out.tasks[1].attempts, 2);
         for (a, b) in clean.completed().iter().zip(&out.completed()) {
+            assert_reports_equal(a, b);
+        }
+    }
+
+    /// Wraps a source and panics once — the first time any wrapper
+    /// sharing `armed` is drawn past `after` slots.
+    struct PanicOnce {
+        inner: Box<dyn SlotSource>,
+        armed: Arc<AtomicBool>,
+        after: u64,
+        drawn: u64,
+    }
+
+    impl SlotSource for PanicOnce {
+        fn next_slot(&mut self, rng: &mut dyn gps_stats::rng::RngCore) -> f64 {
+            self.drawn += 1;
+            if self.drawn > self.after && self.armed.swap(false, Ordering::SeqCst) {
+                panic!("source fault mid-measurement");
+            }
+            self.inner.next_slot(rng)
+        }
+
+        fn mean_rate(&self) -> f64 {
+            self.inner.mean_rate()
+        }
+
+        fn peak_rate(&self) -> Option<f64> {
+            self.inner.peak_rate()
+        }
+
+        fn reset(&mut self, rng: &mut dyn gps_stats::rng::RngCore) {
+            self.drawn = 0;
+            self.inner.reset(rng);
+        }
+    }
+
+    #[test]
+    fn retry_after_mid_measurement_panic_rebuilds_scratch() {
+        // One worker drains the whole campaign as one chunk, so the same
+        // scratch would carry replication 1's half-run server into its
+        // retry. The retried campaign must still match a clean run.
+        let base = base_cfg(0x5C);
+        let whole = Supervisor::new().with_chunk(Some(4));
+        let clean = campaign(1, &base, 4, |_| onoff_sources(), &whole).unwrap();
+        let armed = Arc::new(AtomicBool::new(true));
+        let faulty = |r: u64| -> Vec<Box<dyn SlotSource>> {
+            let mut sources = onoff_sources();
+            if r == 1 {
+                let inner = sources.remove(0);
+                let after = base.warmup + base.measure / 2;
+                let armed = Arc::clone(&armed);
+                let drawn = 0;
+                sources.insert(
+                    0,
+                    Box::new(PanicOnce {
+                        inner,
+                        armed,
+                        after,
+                        drawn,
+                    }),
+                );
+            }
+            sources
+        };
+        let retried = campaign(1, &base, 4, faulty, &whole).unwrap();
+        assert!(!armed.load(Ordering::SeqCst), "the fault fired");
+        assert!(retried.quarantined.is_empty());
+        assert_eq!(retried.tasks[1].attempts, 2);
+        for (a, b) in clean.completed().iter().zip(&retried.completed()) {
             assert_reports_equal(a, b);
         }
     }
@@ -1561,13 +1563,10 @@ mod tests {
         };
         let path = temp_path("network");
         let sup = Supervisor::new().with_checkpoint(&path);
-        let first =
-            run_supervised_network_campaign_threads(2, &base, 3, |_| onoff_sources(), &sup, None)
-                .unwrap();
-        let resumed = run_supervised_network_campaign_threads(
-            2,
+        let first = run_campaign::<Network>(&base, 0..3, |_| onoff_sources(), &sup, None).unwrap();
+        let resumed = run_campaign::<Network>(
             &base,
-            3,
+            0..3,
             |_| -> Vec<Box<dyn SlotSource>> { panic!("must not recompute") },
             &Supervisor::new().with_checkpoint(&path).with_resume(true),
             None,
@@ -1596,7 +1595,7 @@ mod tests {
         assert!(e.to_string().contains("converge"));
         let e: SimError = FaultConfigError::DropChance(2.0).into();
         assert!(e.to_string().contains("drop_chance"));
-        let e = SimError::NonFinite {
+        let e = SimError::InvalidReport {
             replication: 3,
             what: "throughput",
         };

@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
+# The benchmark harness is a workspace of its own, so a break in the
+# public API it imports from gps_sim/gps_par is invisible to the root
+# build above.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # The test suite runs three times across the scheduling matrix: the
 # exact serial fallback (GPS_PAR_THREADS=1), a multi-worker pass with
 # single-replication chunks (GPS_PAR_THREADS=4 GPS_PAR_CHUNK=1, maximal
@@ -197,6 +203,22 @@ for run in net kill; do
     cmp "$dist/ref/campaignd_overload_metrics.json" "$dist/$run/campaignd_overload_metrics.json"
 done
 
+# Committed campaign artifacts: regenerating the single-node and network
+# validation campaigns and the in-process overload campaign must
+# reproduce the committed CSV and metrics files byte for byte.
+echo "==> committed campaign artifacts regenerate byte-identically"
+regen="$(mktemp -d)"
+trap 'rm -rf "$adm" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist" "$regen"' EXIT
+regen_env=(env -u GPS_MEASURE_SLOTS -u GPS_CAMPAIGN_WARMUP -u GPS_CAMPAIGN_MEASURE
+    GPS_RESULTS_DIR="$regen")
+"${regen_env[@]}" ./target/release/validate_single --quiet > /dev/null
+"${regen_env[@]}" ./target/release/validate_network --quiet > /dev/null
+"${regen_env[@]}" ./target/release/campaignd --local 2 --scenario overload --quiet > /dev/null
+for art in validate_single validate_network campaignd_overload; do
+    cmp "results/$art.csv" "$regen/$art.csv"
+    cmp "results/${art}_metrics.json" "$regen/${art}_metrics.json"
+done
+
 # Bench-history ledger: every pinned bench snapshot must have at least
 # one dated line in results/bench_history.ndjson recording when its
 # numbers were produced (the harness appends one on every finish()).
@@ -214,7 +236,7 @@ done
 # byte-identical (the report is a pure function of the files on disk).
 echo "==> report (dashboard smoke + determinism)"
 tmp_results="$(mktemp -d)"
-trap 'rm -rf "$adm" "$tmp_results" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist"' EXIT
+trap 'rm -rf "$adm" "$tmp_results" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist" "$regen"' EXIT
 cp -r results/. "$tmp_results"/
 GPS_RESULTS_DIR="$tmp_results" ./target/release/report
 hash1="$(sha256sum "$tmp_results/dashboard.html" | cut -d' ' -f1)"

@@ -55,12 +55,12 @@ pub mod prelude {
     pub use gps_netcalc::{rpps_network_bounds, AffineCurve, LatencyRate};
     pub use gps_sim::ct_runner::{run_ct_fluid, CtRunConfig};
     pub use gps_sim::runner::{
-        merge_network_reports, merge_single_node_reports, run_network, run_network_campaign,
-        run_single_node, run_single_node_campaign, NetworkRunConfig, SingleNodeRunConfig,
+        merge_network_reports, merge_single_node_reports, run_network, run_single_node,
+        NetworkRunConfig, SingleNodeRunConfig,
     };
     pub use gps_sim::supervise::{
-        resume_network_campaign, resume_single_node_campaign, run_supervised_network_campaign,
-        run_supervised_single_node_campaign, CampaignOutcome, PanicInjection, SimError, Supervisor,
+        run_campaign, CampaignOutcome, Network, PanicInjection, Replication, SimError, SingleNode,
+        Supervisor,
     };
     pub use gps_sim::{
         FaultySource, FifoServer, FluidGps, Packet, PgpsServer, PriorityServer, SlottedGps,

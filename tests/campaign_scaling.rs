@@ -15,11 +15,10 @@ use gps_obs::metrics::Registry;
 use gps_par::TaskOutcome;
 use gps_qos::prelude::*;
 use gps_sim::runner::{
-    record_single_node_metrics, run_network_campaign_chunked_threads,
-    run_single_node_campaign_chunked_threads, run_single_node_campaign_merged_threads,
-    run_single_node_campaign_threads, NetworkRunReport, SingleNodeRunReport,
+    record_single_node_metrics, run_single_node_campaign_merged_threads, NetworkRunReport,
+    SingleNodeRunReport,
 };
-use gps_sim::supervise::run_supervised_single_node_campaign_chunked_threads;
+use gps_sim::supervise::{run_campaign, Network, SingleNode};
 use gps_sources::SlotSource;
 use std::path::{Path, PathBuf};
 
@@ -103,19 +102,29 @@ fn single_node_metrics_json(reports: &[SingleNodeRunReport]) -> String {
 #[test]
 fn single_node_campaign_is_identical_across_threads_and_chunks() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = run_campaign::<SingleNode>(
+        &base,
+        0..REPLICATIONS,
+        |_| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
     let baseline_metrics = single_node_metrics_json(&baseline);
 
     for threads in THREAD_COUNTS {
         for chunk in chunk_sweep() {
-            let reports = run_single_node_campaign_chunked_threads(
-                threads,
-                chunk,
+            let reports = run_campaign::<SingleNode>(
                 &base,
-                REPLICATIONS,
+                0..REPLICATIONS,
                 |_| make_sources(),
-            );
+                &Supervisor::new().with_threads(threads).with_chunk(chunk),
+                None,
+            )
+            .expect("campaign")
+            .completed();
             assert_eq!(reports.len() as u64, REPLICATIONS);
             for (r, rep) in reports.iter().enumerate() {
                 assert_eq!(
@@ -136,16 +145,28 @@ fn single_node_campaign_is_identical_across_threads_and_chunks() {
 #[test]
 fn network_campaign_is_identical_across_threads_and_chunks() {
     let base = network_config();
-    let baseline =
-        run_network_campaign_chunked_threads(1, Some(1), &base, REPLICATIONS, |_| make_sources());
+    let baseline = run_campaign::<Network>(
+        &base,
+        0..REPLICATIONS,
+        |_| make_sources(),
+        &Supervisor::new().with_threads(1).with_chunk(Some(1)),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(network_csv_rows).collect();
 
     for threads in THREAD_COUNTS {
         for chunk in chunk_sweep() {
-            let reports =
-                run_network_campaign_chunked_threads(threads, chunk, &base, REPLICATIONS, |_| {
-                    make_sources()
-                });
+            let reports = run_campaign::<Network>(
+                &base,
+                0..REPLICATIONS,
+                |_| make_sources(),
+                &Supervisor::new().with_threads(threads).with_chunk(chunk),
+                None,
+            )
+            .expect("campaign")
+            .completed();
             assert_eq!(reports.len() as u64, REPLICATIONS);
             for (r, rep) in reports.iter().enumerate() {
                 assert_eq!(
@@ -181,7 +202,15 @@ fn merged_campaign_is_thread_invariant_at_fixed_chunk() {
 #[test]
 fn merged_campaign_ccdf_counts_match_vec_campaign_at_any_chunk() {
     let base = single_node_config();
-    let reports = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let reports = run_campaign::<SingleNode>(
+        &base,
+        0..REPLICATIONS,
+        |_| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     let pooled = merge_single_node_reports(&reports);
     // The pooled CCDF tails are ratios of exact u64 counts; they cannot
     // depend on how replications were grouped into chunks.
@@ -242,7 +271,15 @@ fn truncate_checkpoint(path: &Path, keep: usize) {
 #[test]
 fn supervised_resume_is_chunk_invariant() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = run_campaign::<SingleNode>(
+        &base,
+        0..REPLICATIONS,
+        |_| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
 
     for (tag, chunk) in [("c1", Some(1)), ("cd", None), ("call", Some(6))] {
@@ -251,24 +288,20 @@ fn supervised_resume_is_chunk_invariant() {
         let sup = Supervisor::new().with_checkpoint(&ckpt).with_resume(true);
         // First pass writes the checkpoint; then crash it mid-line and
         // resume with a *different* chunk size than the first pass.
-        run_supervised_single_node_campaign_chunked_threads(
-            2,
-            chunk,
+        run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_| make_sources(),
-            &sup,
+            &sup.clone().with_threads(2).with_chunk(chunk),
             None,
         )
         .expect("first pass");
         truncate_checkpoint(&ckpt, 3);
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            Some(2),
+        let outcome = run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_| make_sources(),
-            &sup,
+            &sup.clone().with_threads(4).with_chunk(Some(2)),
             None,
         )
         .expect("resumed pass");
@@ -292,7 +325,15 @@ fn supervised_resume_is_chunk_invariant() {
 #[test]
 fn supervised_retry_and_quarantine_are_chunk_invariant() {
     let base = single_node_config();
-    let baseline = run_single_node_campaign_threads(1, &base, REPLICATIONS, |_| make_sources());
+    let baseline = run_campaign::<SingleNode>(
+        &base,
+        0..REPLICATIONS,
+        |_| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     let baseline_rows: Vec<Vec<String>> = baseline.iter().map(single_node_csv_rows).collect();
 
     for chunk in chunk_sweep() {
@@ -302,13 +343,11 @@ fn supervised_retry_and_quarantine_are_chunk_invariant() {
             replication: 2,
             once: true,
         }));
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            chunk,
+        let outcome = run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_| make_sources(),
-            &sup,
+            &sup.clone().with_threads(4).with_chunk(chunk),
             None,
         )
         .expect("transient campaign");
@@ -331,13 +370,11 @@ fn supervised_retry_and_quarantine_are_chunk_invariant() {
             replication: 4,
             once: false,
         }));
-        let outcome = run_supervised_single_node_campaign_chunked_threads(
-            4,
-            chunk,
+        let outcome = run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_| make_sources(),
-            &sup,
+            &sup.clone().with_threads(4).with_chunk(chunk),
             None,
         )
         .expect("permanent campaign");

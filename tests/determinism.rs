@@ -87,9 +87,9 @@ fn same_master_seed_is_bit_identical() {
 use gps_obs::metrics::Registry;
 use gps_sim::runner::{
     merge_network_reports, merge_single_node_reports, record_network_metrics,
-    record_single_node_metrics, run_network_campaign_threads, run_single_node_campaign_threads,
-    NetworkRunReport,
+    record_single_node_metrics, NetworkRunReport,
 };
+use gps_sim::supervise::{run_campaign, Network, SingleNode, Supervisor};
 
 fn make_sources() -> Vec<Box<dyn SlotSource>> {
     OnOffSource::paper_table1()
@@ -136,8 +136,24 @@ fn parallel_single_node_campaign_matches_serial_byte_for_byte() {
         c.measure = 8_000;
         c
     };
-    let serial = run_single_node_campaign_threads(1, &base, 6, |_r| make_sources());
-    let parallel = run_single_node_campaign_threads(4, &base, 6, |_r| make_sources());
+    let serial = run_campaign::<SingleNode>(
+        &base,
+        0..6,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
+    let parallel = run_campaign::<SingleNode>(
+        &base,
+        0..6,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(4),
+        None,
+    )
+    .expect("campaign")
+    .completed();
 
     // Byte-identical CSV rows from the merged reports.
     let ms = merge_single_node_reports(&serial);
@@ -170,8 +186,24 @@ fn parallel_network_campaign_matches_serial_byte_for_byte() {
         backlog_grid: (0..40).map(|i| i as f64 * 0.5).collect(),
         delay_grid: (0..40).map(|i| i as f64).collect(),
     };
-    let serial = run_network_campaign_threads(1, &base, 5, |_r| make_sources());
-    let parallel = run_network_campaign_threads(3, &base, 5, |_r| make_sources());
+    let serial = run_campaign::<Network>(
+        &base,
+        0..5,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
+    let parallel = run_campaign::<Network>(
+        &base,
+        0..5,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(3),
+        None,
+    )
+    .expect("campaign")
+    .completed();
 
     let ms = merge_network_reports(&serial);
     let mp = merge_network_reports(&parallel);

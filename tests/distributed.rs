@@ -22,8 +22,8 @@ use gps_sim::runner::{
     SingleNodeRunReport,
 };
 use gps_sim::supervise::{
-    checkpoint_line, fingerprint_single_node, run_supervised_single_node_campaign,
-    single_node_report_to_json, Supervisor,
+    checkpoint_line, fingerprint_single_node, run_campaign, single_node_report_to_json, SingleNode,
+    Supervisor,
 };
 use gps_sources::SlotSource;
 use std::path::PathBuf;
@@ -116,9 +116,9 @@ fn metrics_json(report: &SingleNodeRunReport) -> String {
 /// The canonical single-process result every distributed variant must
 /// reproduce byte-for-byte.
 fn straight_through() -> SingleNodeRunReport {
-    let outcome = run_supervised_single_node_campaign(
+    let outcome = run_campaign::<SingleNode>(
         &config(),
-        REPLICATIONS,
+        0..REPLICATIONS,
         |_r| make_sources(),
         &Supervisor::new(),
         None,

@@ -9,7 +9,8 @@
 //!
 //! The trace mode is process-global, so the tests serialize on a lock.
 
-use gps_sim::runner::{run_single_node_campaign_chunked_threads, SingleNodeRunConfig};
+use gps_sim::runner::SingleNodeRunConfig;
+use gps_sim::supervise::{run_campaign, SingleNode, Supervisor};
 use gps_sources::{OnOffSource, SlotSource};
 use std::sync::Mutex;
 
@@ -49,7 +50,15 @@ fn counts_digest_is_schedule_invariant_for_campaigns() {
     let mut exports = Vec::new();
     for (threads, chunk) in [(1usize, Some(1usize)), (1, None), (4, Some(1)), (4, None)] {
         gps_obs::trace::reset();
-        let reports = run_single_node_campaign_chunked_threads(threads, chunk, &cfg, 6, sources);
+        let reports = run_campaign::<SingleNode>(
+            &cfg,
+            0..6,
+            sources,
+            &Supervisor::new().with_threads(threads).with_chunk(chunk),
+            None,
+        )
+        .expect("campaign")
+        .completed();
         assert_eq!(reports.len(), 6);
         exports.push(gps_obs::trace::export_json("flight_recorder").expect("counts export"));
     }
@@ -87,7 +96,15 @@ fn timing_trace_nests_properly_per_lane() {
     gps_obs::trace::configure(gps_obs::TraceMode::Timing);
     gps_obs::trace::reset();
     let cfg = config();
-    let reports = run_single_node_campaign_chunked_threads(4, None, &cfg, 8, sources);
+    let reports = run_campaign::<SingleNode>(
+        &cfg,
+        0..8,
+        sources,
+        &Supervisor::new().with_threads(4),
+        None,
+    )
+    .expect("campaign")
+    .completed();
     assert_eq!(reports.len(), 8);
     let json = gps_obs::trace::export_json("flight_recorder").expect("timing export");
     gps_obs::trace::configure(gps_obs::TraceMode::Off);

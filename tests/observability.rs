@@ -11,8 +11,8 @@ use gps_obs::to_prometheus_text;
 use gps_qos::prelude::*;
 use gps_sim::runner::{
     merge_single_node_reports, monitor_single_node_fold, record_single_node_metrics,
-    run_single_node_campaign_monitored_threads, run_single_node_campaign_threads,
 };
+use gps_sim::supervise::{run_campaign, SingleNode, Supervisor};
 use gps_sources::SlotSource;
 
 fn paper_config(seed: u64) -> SingleNodeRunConfig {
@@ -37,8 +37,24 @@ fn make_sources() -> Vec<Box<dyn SlotSource>> {
 #[test]
 fn prometheus_exposition_is_thread_count_invariant() {
     let base = paper_config(0x0B5);
-    let serial = run_single_node_campaign_threads(1, &base, 4, |_r| make_sources());
-    let parallel = run_single_node_campaign_threads(4, &base, 4, |_r| make_sources());
+    let serial = run_campaign::<SingleNode>(
+        &base,
+        0..4,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(1),
+        None,
+    )
+    .expect("campaign")
+    .completed();
+    let parallel = run_campaign::<SingleNode>(
+        &base,
+        0..4,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(4),
+        None,
+    )
+    .expect("campaign")
+    .completed();
 
     let render = |reports: &[gps_sim::runner::SingleNodeRunReport]| {
         let reg = Registry::new();
@@ -65,8 +81,15 @@ fn monitor_fires_on_forced_violation_fixture() {
         4
     ]);
     let base = paper_config(0xF1);
-    let reports =
-        run_single_node_campaign_monitored_threads(2, &base, 2, |_r| make_sources(), Some(&tight));
+    let reports = run_campaign::<SingleNode>(
+        &base,
+        0..2,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(2),
+        Some(&tight),
+    )
+    .expect("campaign")
+    .completed();
 
     // The campaign path records into the global registry.
     let snap = gps_obs::metrics().snapshot();
@@ -113,7 +136,15 @@ fn monitor_silent_on_paper_theorem10_configuration() {
     let monitor = BoundMonitor::new(curves);
 
     let base = paper_config(7);
-    let reports = run_single_node_campaign_threads(2, &base, 4, |_r| make_sources());
+    let reports = run_campaign::<SingleNode>(
+        &base,
+        0..4,
+        |_r| make_sources(),
+        &Supervisor::new().with_threads(2),
+        None,
+    )
+    .expect("campaign")
+    .completed();
 
     // Check every prefix fold the way the monitored campaign does.
     let reg = Registry::new();

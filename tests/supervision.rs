@@ -16,10 +16,7 @@ use gps_sim::runner::{
     merge_network_reports, merge_single_node_reports, record_network_metrics,
     record_single_node_metrics, NetworkRunReport, SingleNodeRunReport,
 };
-use gps_sim::supervise::{
-    run_supervised_network_campaign_threads, run_supervised_single_node_campaign_threads,
-    PanicInjection, Supervisor,
-};
+use gps_sim::supervise::{run_campaign, Network, PanicInjection, SingleNode, Supervisor};
 use gps_sources::SlotSource;
 use std::path::{Path, PathBuf};
 
@@ -129,12 +126,11 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
     let base = single_node_config();
 
     // Straight-through baseline (serial, no checkpoint).
-    let baseline = run_supervised_single_node_campaign_threads(
-        1,
+    let baseline = run_campaign::<SingleNode>(
         &base,
-        REPLICATIONS,
+        0..REPLICATIONS,
         |_r| make_sources(),
-        &Supervisor::new(),
+        &Supervisor::new().with_threads(1),
         None,
     )
     .expect("baseline campaign");
@@ -149,12 +145,13 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
 
         // Full checkpointed run, then simulate a crash that tears the
         // fourth checkpoint line mid-append.
-        run_supervised_single_node_campaign_threads(
-            threads,
+        run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt),
+            &Supervisor::new()
+                .with_checkpoint(&ckpt)
+                .with_threads(threads),
             None,
         )
         .expect("checkpointed campaign");
@@ -162,12 +159,14 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
 
         // Resume: the three intact lines restore, the torn one and the
         // missing tail recompute.
-        let resumed = run_supervised_single_node_campaign_threads(
-            threads,
+        let resumed = run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt).with_resume(true),
+            &Supervisor::new()
+                .with_checkpoint(&ckpt)
+                .with_resume(true)
+                .with_threads(threads),
             None,
         )
         .expect("resumed campaign");
@@ -196,12 +195,11 @@ fn killed_and_resumed_single_node_campaign_is_byte_identical() {
 fn killed_and_resumed_network_campaign_is_byte_identical() {
     let base = network_config();
 
-    let baseline = run_supervised_network_campaign_threads(
-        1,
+    let baseline = run_campaign::<Network>(
         &base,
-        REPLICATIONS,
+        0..REPLICATIONS,
         |_r| make_sources(),
-        &Supervisor::new(),
+        &Supervisor::new().with_threads(1),
         None,
     )
     .expect("baseline campaign");
@@ -211,23 +209,26 @@ fn killed_and_resumed_network_campaign_is_byte_identical() {
 
     for threads in [1usize, 4] {
         let ckpt = temp_ckpt(&format!("network_kill_t{threads}"));
-        run_supervised_network_campaign_threads(
-            threads,
+        run_campaign::<Network>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt),
+            &Supervisor::new()
+                .with_checkpoint(&ckpt)
+                .with_threads(threads),
             None,
         )
         .expect("checkpointed campaign");
         truncate_checkpoint(&ckpt, 3);
 
-        let resumed = run_supervised_network_campaign_threads(
-            threads,
+        let resumed = run_campaign::<Network>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_r| make_sources(),
-            &Supervisor::new().with_checkpoint(&ckpt).with_resume(true),
+            &Supervisor::new()
+                .with_checkpoint(&ckpt)
+                .with_resume(true)
+                .with_threads(threads),
             None,
         )
         .expect("resumed campaign");
@@ -251,27 +252,27 @@ fn killed_and_resumed_network_campaign_is_byte_identical() {
 #[test]
 fn transient_panic_retries_to_byte_identical_output() {
     let base = single_node_config();
-    let clean = run_supervised_single_node_campaign_threads(
-        1,
+    let clean = run_campaign::<SingleNode>(
         &base,
-        REPLICATIONS,
+        0..REPLICATIONS,
         |_r| make_sources(),
-        &Supervisor::new(),
+        &Supervisor::new().with_threads(1),
         None,
     )
     .expect("clean campaign");
     let clean_reports = clean.completed();
 
     for threads in [1usize, 4] {
-        let faulted = run_supervised_single_node_campaign_threads(
-            threads,
+        let faulted = run_campaign::<SingleNode>(
             &base,
-            REPLICATIONS,
+            0..REPLICATIONS,
             |_r| make_sources(),
-            &Supervisor::new().with_inject(Some(PanicInjection {
-                replication: 2,
-                once: true,
-            })),
+            &Supervisor::new()
+                .with_inject(Some(PanicInjection {
+                    replication: 2,
+                    once: true,
+                }))
+                .with_threads(threads),
             None,
         )
         .expect("faulted campaign");
@@ -295,15 +296,16 @@ fn transient_panic_retries_to_byte_identical_output() {
 #[test]
 fn permanent_panic_quarantines_and_campaign_completes() {
     let base = single_node_config();
-    let outcome = run_supervised_single_node_campaign_threads(
-        2,
+    let outcome = run_campaign::<SingleNode>(
         &base,
-        REPLICATIONS,
+        0..REPLICATIONS,
         |_r| make_sources(),
-        &Supervisor::new().with_inject(Some(PanicInjection {
-            replication: 4,
-            once: false,
-        })),
+        &Supervisor::new()
+            .with_inject(Some(PanicInjection {
+                replication: 4,
+                once: false,
+            }))
+            .with_threads(2),
         None,
     )
     .expect("campaign with permanent fault");
