@@ -32,7 +32,7 @@
 //! * [`admission`] — admission-control utilities built on the bounds (the
 //!   paper's motivating application);
 //! * [`engine`] — the online admission-control service: memoized bound
-//!   certificates, warm-started searches, and batched decisions.
+//!   certificates and warm-started searches.
 
 pub mod admission;
 pub mod class_based;

@@ -16,7 +16,7 @@ use gps_bench::harness::{black_box, BenchHarness};
 use gps_ebb::{EbbProcess, TimeModel};
 use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, RouteHandler, RouteResponse, TelemetryConfig};
+use gps_obs::{Exporter, HttpRequest, RequestHandler, RouteResponse, TelemetryConfig};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
 
@@ -128,24 +128,18 @@ fn main() {
         "warm replay took cache misses"
     );
 
-    // Batched decisions through the gps_par pool (same stream, warm).
-    h.bench_elems("admit_batch/warm", DECISIONS as u64, || {
-        let mut e = warm_template.clone();
-        black_box(e.admit_batch(&stream).len())
-    });
-
     // HTTP path: the same warm engine behind the exporter front end with
     // request telemetry armed — the full admitd stack (parse, dispatch,
     // engine, counters + HDR latency) per decision, on keep-alive
     // loopback connections.
     let registry = Registry::new();
     let http_engine = Arc::new(Mutex::new(warm_template.clone()));
-    let handler: RouteHandler = {
+    let handler: RequestHandler = {
         let engine = Arc::clone(&http_engine);
-        Arc::new(move |path: &str| {
-            let (route, query) = match path.split_once('?') {
+        Arc::new(move |req: &HttpRequest| {
+            let (route, query) = match req.path.split_once('?') {
                 Some((r, q)) => (r, Some(q)),
-                None => (path, None),
+                None => (req.path, None),
             };
             let class: usize = query
                 .and_then(|q| q.strip_prefix("class="))
@@ -163,11 +157,11 @@ fn main() {
             ))
         })
     };
-    let exporter = Exporter::serve_with_telemetry(
+    let exporter = Exporter::serve(
         "127.0.0.1:0",
         registry,
         Some(handler),
-        TelemetryConfig::new("bench-admitd"),
+        Some(TelemetryConfig::new("bench-admitd")),
     )
     .expect("bind exporter");
     let addr = exporter.local_addr();

@@ -29,7 +29,7 @@ use gps_experiments::service::service_json;
 use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
 use gps_obs::json::{fmt_f64, Json};
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, RouteHandler, RouteResponse, SloSpec, TelemetryConfig};
+use gps_obs::{Exporter, HttpRequest, RequestHandler, RouteResponse, SloSpec, TelemetryConfig};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
 
@@ -155,11 +155,16 @@ fn class_param(query: Option<&str>, n_classes: usize) -> Result<usize, String> {
     Ok(k)
 }
 
-fn routes(engine: Arc<Mutex<AdmissionEngine>>, registry: Registry) -> RouteHandler {
-    Arc::new(move |path: &str| {
-        let (route, query) = match path.split_once('?') {
+fn routes(engine: Arc<Mutex<AdmissionEngine>>, registry: Registry) -> RequestHandler {
+    Arc::new(move |req: &HttpRequest| {
+        // Every endpoint here is a GET: a POST is refused before it can
+        // reach the engine.
+        if req.method != "GET" {
+            return Some(RouteResponse::text(405, "GET only\n"));
+        }
+        let (route, query) = match req.path.split_once('?') {
             Some((r, q)) => (r, Some(q)),
-            None => (path, None),
+            None => (req.path, None),
         };
         let op = match route {
             "/admit" => Some(RequestKind::Admit),
@@ -292,11 +297,11 @@ fn main() {
     if slo_enabled {
         telemetry = telemetry.with_slos(default_slos());
     }
-    let exporter = Exporter::serve_with_telemetry(
+    let exporter = Exporter::serve(
         &addr,
         registry.clone(),
         Some(routes(Arc::clone(&engine), registry.clone())),
-        telemetry,
+        Some(telemetry),
     )
     .unwrap_or_else(|e| {
         eprintln!("admitd: bind {addr}: {e}");

@@ -82,10 +82,10 @@ fn dispatch(
 ) -> Option<RouteResponse> {
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
+        None => (req.path, ""),
     };
     let now_s = epoch.elapsed().as_secs();
-    match (req.method.as_str(), path) {
+    match (req.method, path) {
         ("GET", "/shard") => {
             let worker = query_param(query, "worker").unwrap_or("anonymous");
             let mut c = coordinator.lock().expect("coordinator poisoned");
@@ -284,10 +284,10 @@ fn main() {
         });
         let telemetry =
             TelemetryConfig::from_env("campaignd").with_shared_slo(Arc::clone(&slo_set));
-        let server = match Exporter::serve_requests(
+        let server = match Exporter::serve(
             &listen,
             gps_obs::metrics().clone(),
-            handler,
+            Some(handler),
             Some(telemetry),
         ) {
             Ok(e) => e,

@@ -8,7 +8,7 @@
 //! `scripts/verify.sh` runs this instead of depending on `curl`.
 
 use gps_experiments::{init_obs, serve_addr_from_args};
-use gps_obs::exporter::http_get;
+use gps_obs::exporter::HttpClient;
 use gps_sim::runner::SingleNodeRunConfig;
 use gps_sim::supervise::{run_campaign, SingleNode, Supervisor};
 use gps_sources::{OnOffSource, SlotSource};
@@ -23,7 +23,7 @@ fn check(name: &str, ok: bool, detail: &str) -> bool {
 }
 
 /// Stands up an [`gps_analysis::AdmissionEngine`] behind
-/// [`gps_obs::Exporter::serve_with_telemetry`] the way `admitd` does,
+/// [`gps_obs::Exporter::serve`] with request telemetry the way `admitd` does,
 /// then drives scripted admit/depart load over a single keep-alive
 /// connection and asserts the JSON endpoints, the `admission_cache_*`
 /// counters, the `admission_region_occupancy` gauges, the per-route
@@ -32,9 +32,8 @@ fn check(name: &str, ok: bool, detail: &str) -> bool {
 fn admission_service_checks() -> bool {
     use gps_analysis::{AdmissionEngine, CertBackend, ClassSpec, QosTarget};
     use gps_ebb::{EbbProcess, TimeModel};
-    use gps_obs::exporter::HttpClient;
     use gps_obs::metrics::Registry;
-    use gps_obs::{Exporter, RouteHandler, RouteResponse, SloSpec, TelemetryConfig};
+    use gps_obs::{Exporter, HttpRequest, RequestHandler, RouteResponse, SloSpec, TelemetryConfig};
     use std::sync::{Arc, Mutex};
 
     let classes = vec![
@@ -59,13 +58,13 @@ fn admission_service_checks() -> bool {
     .expect("engine builds");
     let registry = Registry::new();
     let engine = Arc::new(Mutex::new(engine));
-    let handler: RouteHandler = {
+    let handler: RequestHandler = {
         let engine = Arc::clone(&engine);
         let registry = registry.clone();
-        Arc::new(move |path: &str| {
-            let (route, query) = match path.split_once('?') {
+        Arc::new(move |req: &HttpRequest| {
+            let (route, query) = match req.path.split_once('?') {
                 Some((r, q)) => (r, Some(q)),
-                None => (path, None),
+                None => (req.path, None),
             };
             let class: usize = query
                 .and_then(|q| q.strip_prefix("class="))
@@ -108,9 +107,13 @@ fn admission_service_checks() -> bool {
     };
     let telemetry = TelemetryConfig::new("obs-check-admit")
         .with_slos(vec![SloSpec::availability("availability", 0.999)]);
-    let exporter =
-        Exporter::serve_with_telemetry("127.0.0.1:0", registry.clone(), Some(handler), telemetry)
-            .expect("bind");
+    let exporter = Exporter::serve(
+        "127.0.0.1:0",
+        registry.clone(),
+        Some(handler),
+        Some(telemetry),
+    )
+    .expect("bind");
     let addr = exporter.local_addr();
 
     let mut ok = true;
@@ -309,7 +312,7 @@ fn main() {
     assert_eq!(reports.len(), 2);
 
     let mut ok = true;
-    match http_get(addr, "/health") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/health")) {
         Ok((status, body)) => {
             ok &= check("/health status", status == 200, &format!("status {status}"));
             let parsed = gps_obs::json::parse(&body);
@@ -329,7 +332,7 @@ fn main() {
         }
         Err(e) => ok = check("/health", false, &e.to_string()),
     }
-    match http_get(addr, "/healthz") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/healthz")) {
         Ok((status, body)) => {
             ok &= check(
                 "/healthz plain alias",
@@ -339,7 +342,7 @@ fn main() {
         }
         Err(e) => ok = check("/healthz", false, &e.to_string()),
     }
-    match http_get(addr, "/metrics") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/metrics")) {
         Ok((status, body)) => {
             ok &= check(
                 "/metrics status",
@@ -364,7 +367,7 @@ fn main() {
         }
         Err(e) => ok = check("/metrics", false, &e.to_string()),
     }
-    match http_get(addr, "/metrics.json") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/metrics.json")) {
         Ok((status, body)) => {
             ok &= check(
                 "/metrics.json status",
@@ -383,7 +386,7 @@ fn main() {
         }
         Err(e) => ok = check("/metrics.json", false, &e.to_string()),
     }
-    match http_get(addr, "/progress") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/progress")) {
         Ok((status, body)) => {
             ok &= check(
                 "/progress status",
@@ -410,12 +413,12 @@ fn main() {
         }
         Err(e) => ok = check("/progress", false, &e.to_string()),
     }
-    match http_get(addr, "/nope") {
+    match HttpClient::connect(addr).and_then(|mut c| c.get("/nope")) {
         Ok((status, _)) => ok &= check("unknown path -> 404", status == 404, &format!("{status}")),
         Err(e) => ok = check("unknown path", false, &e.to_string()),
     }
 
-    // The admission-control service: an engine behind serve_with_routes,
+    // The admission-control service: an engine behind a request handler,
     // driven over one persistent connection — checks the custom routes,
     // keep-alive, the cache counters, and the region gauges end to end.
     ok &= admission_service_checks();

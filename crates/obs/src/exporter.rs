@@ -15,17 +15,18 @@
 //! * `/healthz` — bare `ok`, for probes that can't parse JSON.
 //! * `/slo` — per-SLO error budgets and burn rates
 //!   ([`crate::slo::SloSet::to_json`]); served when the exporter was
-//!   started with request telemetry ([`Exporter::serve_with_telemetry`]).
+//!   started with request telemetry.
 //!
-//! Services can mount extra GET endpoints next to the built-ins with
-//! [`Exporter::serve_with_routes`] — the admission-control daemon serves
-//! `/admit`, `/depart`, and `/region` this way, concurrently with
-//! `/metrics` scrapes.
+//! [`Exporter::serve`] takes an optional [`RequestHandler`], consulted
+//! for every GET path the built-ins don't claim and for every POST — the
+//! admission-control daemon serves `/admit`, `/depart`, and `/region`
+//! this way, concurrently with `/metrics` scrapes, and the campaign
+//! coordinator takes its worker POSTs the same way.
 //!
 //! # Request telemetry
 //!
-//! [`Exporter::serve_with_telemetry`] wraps dispatch in a per-request
-//! middleware: every request gets a monotonically-assigned request ID
+//! Passing a [`TelemetryConfig`] to [`Exporter::serve`] wraps dispatch
+//! in a per-request middleware: every request gets a monotonically-assigned request ID
 //! (readable from route handlers via [`current_request_id`]), a
 //! per-route/per-status `obs.http.requests` counter, an HDR latency
 //! observation per route (`obs.http.request_duration_ns`, exposed as
@@ -54,8 +55,12 @@
 //!
 //! Malformed and hostile clients are bounded on every axis: reads and
 //! writes time out after two seconds, the request line is capped at 1 KiB
-//! (`414 URI Too Long` beyond that), and the whole request head at 8 KiB
-//! (`431 Request Header Fields Too Large`).
+//! (`414 URI Too Long` beyond that), the whole request head at 8 KiB
+//! (`431 Request Header Fields Too Large`), and a body at 1 MiB
+//! (`413 Content Too Large`). A `Content-Length` that is not a plain
+//! decimal, or two that disagree, gets `400 Bad Request`: the body cannot
+//! be framed, so the connection closes rather than read the next request
+//! from an unknown offset.
 //!
 //! Nothing here is on a hot path: every request takes a fresh
 //! [`Registry::snapshot`], so the exporter never holds metric locks
@@ -107,8 +112,7 @@ fn split_labels(full: &str) -> (&str, Vec<(&str, &str)>) {
     }
 }
 
-/// Renders a label set (plus an optional extra label such as
-/// `le`/`quantile`) as `{k="v",…}`; empty string when there are none.
+/// Renders a label set (plus an optional extra label such as `le`) as `{k="v",…}`; empty string when there are none.
 fn render_labels(labels: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
     if labels.is_empty() && extra.is_none() {
         return String::new();
@@ -180,14 +184,11 @@ fn push_family(
 ///
 /// Registry conventions map as follows: dotted names flatten to
 /// underscores, counters gain the `_total` suffix (exactly once), labeled
-/// names (`name{k=v}`) become proper label sets, histograms emit
-/// cumulative `le` buckets (underflow mass included, no `_sum` — the
-/// binned histogram does not track one), HDR histograms emit their exact
-/// non-empty log buckets as integer `le` boundaries plus `_sum`/`_count`,
-/// and summaries emit `quantile="0.5|0.9|0.99"` samples plus
-/// `_count`/`_sum`. Span timing stats are exposed as `obs_span_*` gauges
+/// names (`name{k=v}`) become proper label sets, and HDR histograms emit
+/// their exact non-empty log buckets as integer `le` boundaries plus
+/// `_sum`/`_count`. Span timing stats are exposed as `obs_span_*` gauges
 /// labeled by path (`obs_span_samples`, not `_count` — that suffix is
-/// reserved for histogram/summary families).
+/// reserved for histogram families).
 ///
 /// The output is a pure function of the snapshot: same snapshot, same
 /// bytes, which is what lets the thread-count determinism tests pin this
@@ -222,31 +223,6 @@ pub fn to_prometheus_text(snap: &Snapshot) -> String {
             prom_f64(*v)
         ));
     }
-    for (full, h) in &snap.histograms {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "histogram");
-        let width = (h.hi - h.lo) / h.bins.len().max(1) as f64;
-        let mut cumulative = h.underflow;
-        for (b, &c) in h.bins.iter().enumerate() {
-            cumulative += c;
-            let edge = h.lo + width * (b + 1) as f64;
-            families[i].lines.push(format!(
-                "{name}_bucket{} {cumulative}",
-                render_labels(&labels, Some(("le", &prom_f64(edge))))
-            ));
-        }
-        families[i].lines.push(format!(
-            "{name}_bucket{} {}",
-            render_labels(&labels, Some(("le", "+Inf"))),
-            h.total
-        ));
-        families[i].lines.push(format!(
-            "{name}_count{} {}",
-            render_labels(&labels, None),
-            h.total
-        ));
-    }
     for (full, h) in &snap.hdr {
         let (base, labels) = split_labels(full);
         let name = sanitize_name(base);
@@ -273,34 +249,10 @@ pub fn to_prometheus_text(snap: &Snapshot) -> String {
             h.total
         ));
     }
-    for (full, s) in &snap.summaries {
-        let (base, labels) = split_labels(full);
-        let name = sanitize_name(base);
-        let i = push_family(&mut families, &mut index, &name, "summary");
-        for (q, est) in [("0.5", s.p50), ("0.9", s.p90), ("0.99", s.p99)] {
-            if let Some(v) = est {
-                families[i].lines.push(format!(
-                    "{name}{} {}",
-                    render_labels(&labels, Some(("quantile", q))),
-                    prom_f64(v)
-                ));
-            }
-        }
-        families[i].lines.push(format!(
-            "{name}_sum{} {}",
-            render_labels(&labels, None),
-            prom_f64(s.mean * s.count as f64)
-        ));
-        families[i].lines.push(format!(
-            "{name}_count{} {}",
-            render_labels(&labels, None),
-            s.count
-        ));
-    }
     for (path, s) in &snap.spans {
         for (metric, value) in [
             // `_samples`, not `_count`: the reserved `_count` suffix is
-            // kept for histogram/summary families only.
+            // kept for histogram families only.
             ("obs_span_samples", s.count as f64),
             ("obs_span_total_ns", s.total_ns as f64),
             ("obs_span_mean_ns", s.mean_ns()),
@@ -347,8 +299,7 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 /// thread (together with the 2 s read timeout per request).
 pub const MAX_REQUESTS_PER_CONN: usize = 100;
 
-/// A response produced by a custom route handler mounted via
-/// [`Exporter::serve_with_routes`].
+/// A response produced by a [`RequestHandler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteResponse {
     /// HTTP status code (the reason phrase is derived from it).
@@ -379,38 +330,26 @@ impl RouteResponse {
     }
 }
 
-/// Custom GET dispatch: receives the request path (query string
-/// included), returns `Some` to serve it or `None` to fall through to
-/// 404. Consulted only for paths no built-in endpoint claims.
-pub type RouteHandler = Arc<dyn Fn(&str) -> Option<RouteResponse> + Send + Sync>;
-
 /// One parsed request handed to a [`RequestHandler`]: method, path
-/// (query string included), and the request body (empty for GET).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+/// (query string included), and the request body (empty for GET), all
+/// borrowed from the connection's buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HttpRequest<'a> {
     /// Request method (`GET` or `POST`; others are rejected upstream).
-    pub method: String,
+    pub method: &'a str,
     /// Request path with its query string.
-    pub path: String,
+    pub path: &'a str,
     /// Request body, bounded by the server's body cap.
-    pub body: String,
+    pub body: &'a str,
 }
 
-/// Custom method-aware dispatch mounted via [`Exporter::serve_requests`]:
-/// consulted for every GET path the built-ins don't claim *and* for every
-/// POST. Return `Some` to serve, `None` to fall through to 404.
-pub type RequestHandler = Arc<dyn Fn(&HttpRequest) -> Option<RouteResponse> + Send + Sync>;
-
-/// The custom dispatch table threaded through connection handlers:
-/// either the legacy GET-only handler or the method-aware one.
-#[derive(Clone, Default)]
-struct RouteTable {
-    get: Option<RouteHandler>,
-    request: Option<RequestHandler>,
-}
+/// Custom dispatch mounted via [`Exporter::serve`]: consulted for every
+/// GET path the built-ins don't claim *and* for every POST. Return
+/// `Some` to serve, `None` to fall through to 404.
+pub type RequestHandler = Arc<dyn Fn(&HttpRequest<'_>) -> Option<RouteResponse> + Send + Sync>;
 
 /// Configuration for the exporter's request-telemetry middleware (see
-/// the module docs and [`Exporter::serve_with_telemetry`]).
+/// the module docs and [`Exporter::serve`]).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Service name, surfaced in `/health` and `/slo`.
@@ -678,63 +617,17 @@ pub struct Exporter {
 impl Exporter {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
     /// starts serving `registry` on a thread named `gps-obs-exporter`.
-    pub fn serve(addr: &str, registry: Registry) -> std::io::Result<Exporter> {
-        Self::start(addr, registry, RouteTable::default(), None)
-    }
-
-    /// [`serve`](Self::serve) plus a custom route handler consulted for
-    /// every GET path the built-in endpoints don't claim.
-    pub fn serve_with_routes(
+    ///
+    /// `handler`, when given, answers unclaimed GETs and every POST
+    /// (bodies framed by `Content-Length`, `413` beyond the cap);
+    /// without one a POST gets `405`. `telemetry`, when given, arms the
+    /// request-telemetry middleware: request IDs, per-route counters and
+    /// HDR latency, in-flight gauges, SLO burn-rate evaluation (served
+    /// at `/slo`), and the optional access log.
+    pub fn serve(
         addr: &str,
         registry: Registry,
-        routes: RouteHandler,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: Some(routes),
-            request: None,
-        };
-        Self::start(addr, registry, table, None)
-    }
-
-    /// [`serve_with_routes`](Self::serve_with_routes) with the
-    /// request-telemetry middleware enabled: request IDs, per-route
-    /// counters and HDR latency, in-flight gauges, SLO burn-rate
-    /// evaluation (served at `/slo`), and the optional access log.
-    pub fn serve_with_telemetry(
-        addr: &str,
-        registry: Registry,
-        routes: Option<RouteHandler>,
-        telemetry: TelemetryConfig,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: routes,
-            request: None,
-        };
-        Self::start(addr, registry, table, Some(telemetry))
-    }
-
-    /// [`serve`](Self::serve) plus a method-aware [`RequestHandler`]:
-    /// consulted for unclaimed GETs and for every POST (bodies framed by
-    /// `Content-Length`, capped server-side with `413` beyond the cap).
-    /// Optional telemetry as in
-    /// [`serve_with_telemetry`](Self::serve_with_telemetry).
-    pub fn serve_requests(
-        addr: &str,
-        registry: Registry,
-        handler: RequestHandler,
-        telemetry: Option<TelemetryConfig>,
-    ) -> std::io::Result<Exporter> {
-        let table = RouteTable {
-            get: None,
-            request: Some(handler),
-        };
-        Self::start(addr, registry, table, telemetry)
-    }
-
-    fn start(
-        addr: &str,
-        registry: Registry,
-        routes: RouteTable,
+        handler: Option<RequestHandler>,
         telemetry: Option<TelemetryConfig>,
     ) -> std::io::Result<Exporter> {
         let listener = TcpListener::bind(addr)?;
@@ -751,7 +644,7 @@ impl Exporter {
         ));
         let handle = std::thread::Builder::new()
             .name("gps-obs-exporter".to_string())
-            .spawn(move || serve_loop(listener, registry, thread_stop, routes, state))?;
+            .spawn(move || serve_loop(listener, registry, thread_stop, handler, state))?;
         crate::info(
             "obs.exporter",
             "started",
@@ -800,7 +693,7 @@ fn serve_loop(
     listener: TcpListener,
     registry: Registry,
     stop: Arc<AtomicBool>,
-    routes: RouteTable,
+    handler: Option<RequestHandler>,
     state: Arc<ServerState>,
 ) {
     for conn in listener.incoming() {
@@ -811,11 +704,11 @@ fn serve_loop(
             // One short-lived thread per connection: a stalled client
             // burns its own read timeout, not other scrapers' latency.
             let registry = registry.clone();
-            let routes = routes.clone();
+            let handler = handler.clone();
             let state = Arc::clone(&state);
             let _ = std::thread::Builder::new()
                 .name("gps-obs-conn".to_string())
-                .spawn(move || handle_connection(stream, &registry, &routes, &state));
+                .spawn(move || handle_connection(stream, &registry, handler.as_ref(), &state));
         }
     }
 }
@@ -859,15 +752,29 @@ fn read_request_head(stream: &mut TcpStream, carry: &mut Vec<u8>) -> HeadRead {
     }
 }
 
-/// The request body size announced by the head (`0` when absent or
-/// unparseable — GETs carry no body and the client we ship always sends
-/// `Content-Length` on POST).
-fn content_length_of(head: &str) -> usize {
-    head.lines()
+/// The request body size announced by the head: `Some(0)` when absent,
+/// `None` when a value is not a plain decimal or two values disagree —
+/// then the body cannot be framed and the next request's offset is
+/// unknown.
+fn content_length_of(head: &str) -> Option<usize> {
+    let mut announced = None;
+    for (_, value) in head
+        .lines()
         .filter_map(|l| l.split_once(':'))
-        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0)
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+    {
+        // Digits only: `usize::from_str` would also take a leading `+`.
+        let value = value.trim();
+        if !value.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let len: usize = value.parse().ok()?;
+        if announced.is_some_and(|prev| prev != len) {
+            return None;
+        }
+        announced = Some(len);
+    }
+    Some(announced.unwrap_or(0))
 }
 
 /// Pulls `len` body bytes off the connection, starting from whatever the
@@ -915,7 +822,7 @@ fn wants_keep_alive(head: &str) -> bool {
 fn handle_connection(
     mut stream: TcpStream,
     registry: &Registry,
-    routes: &RouteTable,
+    handler: Option<&RequestHandler>,
     state: &ServerState,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
@@ -928,43 +835,33 @@ fn handle_connection(
     if let Some(t) = telemetry {
         t.connection_opened(registry);
     }
+    // Refuses a request whose head cannot be served, counting it under
+    // the `bad_request` telemetry route; the connection closes after.
+    let refuse = |stream: &mut TcpStream, method: &str, status: u16, body: &str| {
+        if let Some(t) = telemetry {
+            let ctx = t.begin_request(registry, "bad_request");
+            let outcome = RequestOutcome {
+                method,
+                route: "bad_request",
+                status,
+                bytes: 0,
+            };
+            t.finish_request(registry, &state.started, ctx, outcome);
+        }
+        respond_and_drain(stream, status, body);
+    };
     let mut carry = Vec::with_capacity(512);
     for served in 0..MAX_REQUESTS_PER_CONN {
         let head_bytes = match read_request_head(&mut stream, &mut carry) {
             HeadRead::Complete(bytes) => bytes,
             HeadRead::LineTooLong => {
                 registry.counter("obs.exporter.requests").inc();
-                let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-                if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                    let outcome = RequestOutcome {
-                        method: "GET",
-                        route: "bad_request",
-                        status: 414,
-                        bytes: 0,
-                    };
-                    t.finish_request(registry, &state.started, ctx, outcome);
-                }
-                respond_and_drain(&mut stream, 414, "URI Too Long", "request line too long\n");
+                refuse(&mut stream, "GET", 414, "request line too long\n");
                 break;
             }
             HeadRead::HeadTooLarge => {
                 registry.counter("obs.exporter.requests").inc();
-                let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-                if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                    let outcome = RequestOutcome {
-                        method: "GET",
-                        route: "bad_request",
-                        status: 431,
-                        bytes: 0,
-                    };
-                    t.finish_request(registry, &state.started, ctx, outcome);
-                }
-                respond_and_drain(
-                    &mut stream,
-                    431,
-                    "Request Header Fields Too Large",
-                    "request head too large\n",
-                );
+                refuse(&mut stream, "GET", 431, "request head too large\n");
                 break;
             }
             HeadRead::Closed => break,
@@ -980,35 +877,26 @@ fn handle_connection(
         // final label collapses unmatched paths to "unmatched" so hostile
         // scans cannot mint unbounded per-route series.
         let provisional = path.split('?').next().unwrap_or(path);
-        let announced = content_length_of(&head);
+        let Some(announced) = content_length_of(&head) else {
+            refuse(&mut stream, method, 400, "bad content-length\n");
+            break;
+        };
         if announced > MAX_BODY_BYTES {
-            let ctx = telemetry.map(|t| t.begin_request(registry, "bad_request"));
-            if let (Some(t), Some(ctx)) = (telemetry, ctx) {
-                let outcome = RequestOutcome {
-                    method,
-                    route: "bad_request",
-                    status: 413,
-                    bytes: 0,
-                };
-                t.finish_request(registry, &state.started, ctx, outcome);
-            }
-            respond_and_drain(
-                &mut stream,
-                413,
-                "Content Too Large",
-                "request body too large\n",
-            );
+            refuse(&mut stream, method, 413, "request body too large\n");
             break;
         }
         // Consume the body even on paths that ignore it — keep-alive
         // framing depends on the next head starting after it.
-        let request_body = match read_request_body(&mut stream, &mut carry, announced) {
-            Some(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            None => break,
+        let Some(body_bytes) = read_request_body(&mut stream, &mut carry, announced) else {
+            break;
+        };
+        let request = HttpRequest {
+            method,
+            path,
+            body: &String::from_utf8_lossy(&body_bytes),
         };
         let ctx = telemetry.map(|t| t.begin_request(registry, provisional));
-        let (status, content_type, body) =
-            dispatch(method, path, &request_body, registry, routes, state);
+        let (status, content_type, body) = dispatch(&request, registry, handler, state);
         if let (Some(t), Some(ctx)) = (telemetry, ctx) {
             let route = if status == 404 || status == 405 {
                 "unmatched"
@@ -1045,86 +933,68 @@ fn handle_connection(
 /// Built-ins answer GET only; POST goes to the mounted
 /// [`RequestHandler`] when there is one, `405` otherwise.
 fn dispatch(
-    method: &str,
-    path: &str,
-    body: &str,
+    request: &HttpRequest<'_>,
     registry: &Registry,
-    routes: &RouteTable,
+    handler: Option<&RequestHandler>,
     state: &ServerState,
 ) -> (u16, String, String) {
-    if method == "POST" {
-        return match &routes.request {
-            Some(handler) => {
-                let request = HttpRequest {
-                    method: method.to_string(),
-                    path: path.to_string(),
-                    body: body.to_string(),
-                };
-                match handler(&request) {
-                    Some(r) => (r.status, r.content_type, r.body),
-                    None => (404, "text/plain".to_string(), "not found\n".to_string()),
-                }
-            }
+    if request.method == "POST" {
+        return match handler {
+            Some(handler) => handler_or_404(handler, request),
             None => (405, "text/plain".to_string(), "GET only\n".to_string()),
         };
     }
-    if method != "GET" {
-        let hint = if routes.request.is_some() {
+    if request.method != "GET" {
+        let hint = if handler.is_some() {
             "GET or POST only\n"
         } else {
             "GET only\n"
         };
         return (405, "text/plain".to_string(), hint.to_string());
     }
-    match path {
-        "/metrics" => (
+    match (request.path, &state.telemetry) {
+        ("/metrics", _) => (
             200,
             "text/plain; version=0.0.4; charset=utf-8".to_string(),
             to_prometheus_text(&registry.snapshot()),
         ),
-        "/metrics.json" => (
+        ("/metrics.json", _) => (
             200,
             "application/json".to_string(),
             registry.snapshot().to_json(),
         ),
-        "/progress" => (
+        ("/progress", _) => (
             200,
             "application/json".to_string(),
             crate::progress::global_progress().to_json(),
         ),
-        "/health" => (
+        ("/health", _) => (
             200,
             "application/json".to_string(),
             health_json(registry, state),
         ),
-        "/healthz" => (200, "text/plain".to_string(), "ok\n".to_string()),
-        "/slo" => match &state.telemetry {
-            Some(t) => (
-                200,
-                "application/json".to_string(),
-                t.slo
-                    .to_json(&state.service, state.started.elapsed().as_secs()),
-            ),
-            None => route_or_404(path, routes),
+        ("/healthz", _) => (200, "text/plain".to_string(), "ok\n".to_string()),
+        ("/slo", Some(t)) => (
+            200,
+            "application/json".to_string(),
+            t.slo
+                .to_json(&state.service, state.started.elapsed().as_secs()),
+        ),
+        _ => match handler {
+            Some(handler) => handler_or_404(handler, request),
+            None => not_found(),
         },
-        other => route_or_404(other, routes),
     }
 }
 
-fn route_or_404(path: &str, routes: &RouteTable) -> (u16, String, String) {
-    if let Some(r) = routes.get.as_ref().and_then(|h| h(path)) {
-        return (r.status, r.content_type, r.body);
+fn handler_or_404(handler: &RequestHandler, request: &HttpRequest<'_>) -> (u16, String, String) {
+    match handler(request) {
+        Some(r) => (r.status, r.content_type, r.body),
+        None => not_found(),
     }
-    if let Some(handler) = &routes.request {
-        let request = HttpRequest {
-            method: "GET".to_string(),
-            path: path.to_string(),
-            body: String::new(),
-        };
-        if let Some(r) = handler(&request) {
-            return (r.status, r.content_type, r.body);
-        }
-    }
+}
+
+fn not_found() -> (u16, String, String) {
     (404, "text/plain".to_string(), "not found\n".to_string())
 }
 
@@ -1167,8 +1037,15 @@ fn respond(
 /// bytes in its receive buffer sends `RST`, which can destroy the response
 /// before the client reads it; draining (bounded by the read timeout and a
 /// byte cap) turns the close into an orderly `FIN`.
-fn respond_and_drain(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    respond(stream, status, reason, "text/plain", body, false);
+fn respond_and_drain(stream: &mut TcpStream, status: u16, body: &str) {
+    respond(
+        stream,
+        status,
+        reason_for(status),
+        "text/plain",
+        body,
+        false,
+    );
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 1024];
     let mut drained = 0usize;
@@ -1181,33 +1058,6 @@ fn respond_and_drain(stream: &mut TcpStream, status: u16, reason: &str, body: &s
             break;
         }
     }
-}
-
-/// A minimal blocking HTTP GET against a local exporter — the in-tree
-/// client used by integration checks so `verify.sh` needs no `curl`.
-/// Returns `(status, body)`.
-pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<(u16, String)> {
-    let addr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
-    let mut stream = TcpStream::connect_timeout(&addr, READ_TIMEOUT)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let _ = stream.set_nodelay(true);
-    let request = format!("GET {path} HTTP/1.1\r\nHost: gps-obs\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = match response.find("\r\n\r\n") {
-        Some(i) => response[i + 4..].to_string(),
-        None => String::new(),
-    };
-    Ok((status, body))
 }
 
 /// A persistent-connection HTTP client: issues many GETs over one TCP
@@ -1225,8 +1075,7 @@ pub struct HttpClient {
     carry: Vec<u8>,
 }
 
-/// Timeout/retry policy for [`HttpClient::connect_with`] and
-/// [`RetryingClient`]. Fully deterministic: a fixed timeout on connect,
+/// Timeout/retry policy for [`RetryingClient`]. Fully deterministic: a fixed timeout on connect,
 /// read, and write, a bounded retry count, and linear attempt-count
 /// backoff (`attempt × backoff_step`, no jitter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1280,10 +1129,7 @@ impl HttpClient {
     /// Connects with an explicit timeout policy — the connect, read, and
     /// write timeouts all come from `cfg.timeout`, so a dead peer costs
     /// one bounded timeout instead of hanging forever.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        cfg: &ClientConfig,
-    ) -> std::io::Result<HttpClient> {
+    fn connect_with(addr: impl ToSocketAddrs, cfg: &ClientConfig) -> std::io::Result<HttpClient> {
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -1509,8 +1355,7 @@ mod tests {
     }
 
     /// Golden exposition of a hand-built registry: every metric family
-    /// kind, labels, histogram buckets, and summary quantiles, pinned
-    /// byte-for-byte.
+    /// kind, labels, and HDR histogram buckets, pinned byte-for-byte.
     #[test]
     fn prometheus_text_golden() {
         let r = Registry::new();
@@ -1528,10 +1373,6 @@ mod tests {
             &[("session", "0")],
         ))
         .set(0.25);
-        let h = r.histogram("queue.depth", 0.0, 4.0, 4);
-        for x in [0.5, 1.5, 1.5, 3.5, 9.0] {
-            h.observe(x);
-        }
         // Tiny HDR config (4 unit buckets, 2 sub-buckets per octave,
         // saturation at 48) so the expected `le` boundaries are easy to
         // derive by hand: 100 clamps into the [48,64) top bucket.
@@ -1540,10 +1381,6 @@ mod tests {
         });
         for v in [1u64, 5, 7, 100] {
             hdr.observe(v);
-        }
-        let s = r.summary("delay");
-        for _ in 0..5 {
-            s.observe(2.0);
         }
         r.record_span("sim/step", 100);
         r.record_span("sim/step", 300);
@@ -1557,13 +1394,6 @@ sim_measured_slots_total 240
 sim_session_delay_samples_total{session=\"0\"} 12
 # TYPE sim_session_throughput gauge
 sim_session_throughput{session=\"0\"} 0.25
-# TYPE queue_depth histogram
-queue_depth_bucket{le=\"1\"} 1
-queue_depth_bucket{le=\"2\"} 3
-queue_depth_bucket{le=\"3\"} 3
-queue_depth_bucket{le=\"4\"} 4
-queue_depth_bucket{le=\"+Inf\"} 5
-queue_depth_count 5
 # TYPE rpc_latency_ns histogram
 rpc_latency_ns_bucket{le=\"1\"} 1
 rpc_latency_ns_bucket{le=\"5\"} 2
@@ -1572,12 +1402,6 @@ rpc_latency_ns_bucket{le=\"63\"} 4
 rpc_latency_ns_bucket{le=\"+Inf\"} 4
 rpc_latency_ns_sum 61
 rpc_latency_ns_count 4
-# TYPE delay summary
-delay{quantile=\"0.5\"} 2
-delay{quantile=\"0.9\"} 2
-delay{quantile=\"0.99\"} 2
-delay_sum 10
-delay_count 5
 # TYPE obs_span_samples gauge
 obs_span_samples{path=\"sim/step\"} 2
 # TYPE obs_span_total_ns gauge
@@ -1596,13 +1420,13 @@ obs_span_max_ns{path=\"sim/step\"} 300
     fn server_round_trip_and_shutdown() {
         let r = Registry::new();
         r.counter("hits").add(3);
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
-        let (status, body) = http_get(addr, "/healthz").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/healthz").unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-        let (status, body) = http_get(addr, "/health").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/health").unwrap();
         assert_eq!(status, 200);
         let health = crate::json::parse(&body).expect("health json parses");
         assert_eq!(health.get("status").and_then(|v| v.as_str()), Some("ok"));
@@ -1616,12 +1440,15 @@ obs_span_max_ns{path=\"sim/step\"} 300
             .is_some());
         assert!(health.get("requests").and_then(|v| v.as_u64()).unwrap_or(0) >= 1);
 
-        let (status, body) = http_get(addr, "/metrics").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE hits_total counter"));
         assert!(body.contains("hits_total 3"));
 
-        let (status, body) = http_get(addr, "/metrics.json").unwrap();
+        let (status, body) = HttpClient::connect(addr)
+            .unwrap()
+            .get("/metrics.json")
+            .unwrap();
         assert_eq!(status, 200);
         let parsed = crate::json::parse(&body).expect("snapshot json parses");
         assert_eq!(
@@ -1634,7 +1461,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
         crate::progress::global_progress().begin_campaign("exporter_test", 10);
         crate::progress::global_progress().add_done(4);
-        let (status, body) = http_get(addr, "/progress").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/progress").unwrap();
         assert_eq!(status, 200);
         let doc = crate::json::parse(&body).expect("progress json parses");
         assert_eq!(
@@ -1644,7 +1471,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         assert_eq!(doc.get("total").and_then(|v| v.as_u64()), Some(10));
         assert_eq!(doc.get("done").and_then(|v| v.as_u64()), Some(4));
 
-        let (status, _) = http_get(addr, "/nope").unwrap();
+        let (status, _) = HttpClient::connect(addr).unwrap().get("/nope").unwrap();
         assert_eq!(status, 404);
 
         // Requests were counted on the live registry.
@@ -1658,7 +1485,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
     #[test]
     fn keep_alive_serves_many_requests_on_one_connection() {
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let before = r.counter("obs.exporter.requests").get();
@@ -1675,7 +1502,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn connection_request_budget_is_enforced() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut client = HttpClient::connect(addr).unwrap();
@@ -1697,7 +1524,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn pipelined_requests_are_served_in_order() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1724,24 +1551,31 @@ obs_span_max_ns{path=\"sim/step\"} 300
     fn custom_routes_mount_beside_builtins() {
         let r = Registry::new();
         r.counter("hits").add(7);
-        let handler: RouteHandler = Arc::new(|path: &str| match path {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path {
             "/echo" => Some(RouteResponse::json(200, "{\"ok\":true}")),
             p if p.starts_with("/echo?") => Some(RouteResponse::text(200, p.to_string())),
             _ => None,
         });
-        let exporter = Exporter::serve_with_routes("127.0.0.1:0", r, handler).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r, Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
 
-        let (status, body) = http_get(addr, "/echo").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/echo").unwrap();
         assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
         // The query string reaches the handler verbatim.
-        let (status, body) = http_get(addr, "/echo?x=1").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/echo?x=1").unwrap();
         assert_eq!((status, body.as_str()), (200, "/echo?x=1"));
         // Built-ins still win, unclaimed paths still 404.
-        let (status, body) = http_get(addr, "/metrics").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("hits_total 7"));
-        assert_eq!(http_get(addr, "/unclaimed").unwrap().0, 404);
+        assert_eq!(
+            HttpClient::connect(addr)
+                .unwrap()
+                .get("/unclaimed")
+                .unwrap()
+                .0,
+            404
+        );
 
         exporter.shutdown();
     }
@@ -1763,8 +1597,26 @@ obs_span_max_ns{path=\"sim/step\"} 300
     }
 
     #[test]
+    fn content_length_parsing() {
+        assert_eq!(content_length_of("GET / HTTP/1.1\r\n\r\n"), Some(0));
+        assert_eq!(
+            content_length_of("POST / HTTP/1.1\r\ncontent-length:  12 \r\n\r\n"),
+            Some(12)
+        );
+        // Agreeing duplicates frame the body unambiguously.
+        assert_eq!(
+            content_length_of("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n"),
+            Some(5)
+        );
+        for bad in ["abc", "-1", "+5", "", "5 5", "99999999999999999999999"] {
+            let head = format!("POST / HTTP/1.1\r\nContent-Length: {bad}\r\n\r\n");
+            assert_eq!(content_length_of(&head), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn stalled_connection_does_not_wedge_other_clients() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         // Open a connection and send nothing: it sits in its handler
@@ -1774,7 +1626,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // Another client must still be served well before that timeout
         // elapses — the serial loop this replaced would block ~2 s here.
         let start = std::time::Instant::now();
-        let (status, body) = http_get(addr, "/healthz").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/healthz").unwrap();
         let elapsed = start.elapsed();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
         assert!(
@@ -1788,7 +1640,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn overlong_request_line_gets_414() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1809,7 +1661,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn oversized_request_head_gets_431() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1840,7 +1692,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // request line; the server must keep accumulating in the carry
         // buffer instead of treating a partial head as a request.
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1871,7 +1723,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         // entirely from the carry buffer (no further socket read), and
         // both must be counted.
         let r = Registry::new();
-        let exporter = Exporter::serve("127.0.0.1:0", r.clone()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -1896,8 +1748,8 @@ obs_span_max_ns{path=\"sim/step\"} 300
     #[test]
     fn telemetry_counts_routes_latency_and_serves_slo() {
         let r = Registry::new();
-        let handler: RouteHandler = Arc::new(|path: &str| {
-            if !path.starts_with("/admit") {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| {
+            if !req.path.starts_with("/admit") {
                 return None;
             }
             // The request ID must be visible to downstream code on the
@@ -1907,8 +1759,8 @@ obs_span_max_ns{path=\"sim/step\"} 300
         });
         let cfg = TelemetryConfig::new("svc-test")
             .with_slos(vec![crate::slo::SloSpec::availability("avail", 0.999)]);
-        let exporter = Exporter::serve_with_telemetry("127.0.0.1:0", r.clone(), Some(handler), cfg)
-            .expect("bind");
+        let exporter =
+            Exporter::serve("127.0.0.1:0", r.clone(), Some(handler), Some(cfg)).expect("bind");
         let addr = exporter.local_addr();
 
         // IDs are monotonically assigned in request order on one
@@ -1968,14 +1820,21 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
         exporter.shutdown();
         // Without telemetry, /slo falls through to 404.
-        let plain = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
-        assert_eq!(http_get(plain.local_addr(), "/slo").unwrap().0, 404);
+        let plain = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
+        assert_eq!(
+            HttpClient::connect(plain.local_addr())
+                .unwrap()
+                .get("/slo")
+                .unwrap()
+                .0,
+            404
+        );
         plain.shutdown();
     }
 
     #[test]
     fn post_routes_round_trip_with_bodies() {
-        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path.as_str() {
+        let handler: RequestHandler = Arc::new(|req: &HttpRequest| match req.path {
             "/echo" if req.method == "POST" => {
                 Some(RouteResponse::text(200, format!("got:{}", req.body)))
             }
@@ -1983,7 +1842,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
             _ => None,
         });
         let exporter =
-            Exporter::serve_requests("127.0.0.1:0", Registry::new(), handler, None).expect("bind");
+            Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut client = HttpClient::connect(addr).unwrap();
@@ -2002,7 +1861,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         drop(client);
 
         // Without a request handler, POST stays 405 as before.
-        let plain = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let plain = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let mut c = HttpClient::connect(plain.local_addr()).unwrap();
         assert_eq!(c.post("/metrics", "x").unwrap().0, 405);
         plain.shutdown();
@@ -2014,7 +1873,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
         let handler: RequestHandler =
             Arc::new(|_req: &HttpRequest| Some(RouteResponse::text(200, "ok")));
         let exporter =
-            Exporter::serve_requests("127.0.0.1:0", Registry::new(), handler, None).expect("bind");
+            Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("bind");
         let addr = exporter.local_addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -2038,6 +1897,63 @@ obs_span_max_ns{path=\"sim/step\"} 300
     }
 
     #[test]
+    fn malformed_content_length_gets_400_and_closes() {
+        let r = Registry::new();
+        let handler: RequestHandler =
+            Arc::new(|_req: &HttpRequest| Some(RouteResponse::text(200, "ok")));
+        let exporter = Exporter::serve(
+            "127.0.0.1:0",
+            r.clone(),
+            Some(handler),
+            Some(TelemetryConfig::new("framing-test")),
+        )
+        .expect("bind");
+        let addr = exporter.local_addr();
+
+        // Each head is followed by a pipelined GET. Neither the POST's
+        // body nor the GET may be dispatched: the server cannot know
+        // where the body ends, so it must refuse and close.
+        let smuggled = "GET /smuggled HTTP/1.1\r\nHost: t\r\n\r\n";
+        let heads = [
+            "POST /echo HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n".to_string(),
+            "POST /echo HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n".to_string(),
+            format!(
+                "POST /echo HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\
+                 Content-Length: {}\r\n\r\n",
+                smuggled.len()
+            ),
+        ];
+        for head in &heads {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+            let request = format!("{head}{smuggled}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            stream.write_all(request.as_bytes()).unwrap();
+            // Read until the server closes; a read timeout means it kept
+            // the connection open instead.
+            let mut response = Vec::new();
+            let closed = stream.read_to_end(&mut response).is_ok();
+            let response = String::from_utf8_lossy(&response);
+            let statuses: Vec<&str> = response
+                .lines()
+                .filter(|l| l.starts_with("HTTP/1.1 "))
+                .collect();
+            assert_eq!(
+                statuses,
+                vec!["HTTP/1.1 400 Bad Request"],
+                "head {head:?} got: {response}"
+            );
+            assert!(closed, "head {head:?}: connection left open");
+        }
+        assert_eq!(
+            r.counter("obs.http.requests{route=bad_request,status=400}")
+                .get(),
+            heads.len() as u64
+        );
+
+        exporter.shutdown();
+    }
+
+    #[test]
     fn client_config_env_knobs_parse() {
         // Uses explicit values rather than set_var: the suite is
         // multi-threaded and env mutation races other tests.
@@ -2055,7 +1971,7 @@ obs_span_max_ns{path=\"sim/step\"} 300
 
     #[test]
     fn retrying_client_survives_connection_budget_and_counts_retries() {
-        let exporter = Exporter::serve("127.0.0.1:0", Registry::new()).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", Registry::new(), None, None).expect("bind");
         let addr = exporter.local_addr();
         let mut client = RetryingClient::with_config(addr, ClientConfig::default()).unwrap();
         // Cross the per-connection request budget several times over: the
@@ -2088,15 +2004,14 @@ obs_span_max_ns{path=\"sim/step\"} 300
         )
         .for_route("shard")]));
         let cfg = TelemetryConfig::new("campaignd-test").with_shared_slo(Arc::clone(&slo));
-        let exporter =
-            Exporter::serve_with_telemetry("127.0.0.1:0", r.clone(), None, cfg).expect("bind");
+        let exporter = Exporter::serve("127.0.0.1:0", r.clone(), None, Some(cfg)).expect("bind");
         let addr = exporter.local_addr();
 
         // The host records synthetic (non-HTTP) events into the same set
         // the exporter serves at /slo.
         slo.record(&r, 0, "shard", 200, 0);
         slo.record(&r, 1, "shard", 503, 0);
-        let (status, body) = http_get(addr, "/slo").unwrap();
+        let (status, body) = HttpClient::connect(addr).unwrap().get("/slo").unwrap();
         assert_eq!(status, 200);
         let doc = crate::json::parse(&body).unwrap();
         let slos = match doc.get("slos") {

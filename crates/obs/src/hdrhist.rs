@@ -1,14 +1,11 @@
 //! Log-bucketed (HDR-style) latency histograms over integer nanoseconds.
 //!
-//! The fixed-width linear [`gps_stats::Histogram`] behind
-//! [`crate::metrics::Registry::histogram`] is the right tool for
-//! simulation quantities with a known range, but it cannot resolve a
-//! 460 ns cache hit and a 40 ms stall in one instrument: any linear
-//! binning wide enough for the stall is five orders of magnitude too
-//! coarse for the hit. [`HdrHistogram`] keeps *relative* resolution
-//! instead — bucket width grows with magnitude, like the classic
-//! HdrHistogram — so one instrument spans nanoseconds to minutes with a
-//! bounded worst-case quantile error.
+//! A linear binning cannot resolve a 460 ns cache hit and a 40 ms stall
+//! in one instrument: any bin width wide enough for the stall is five
+//! orders of magnitude too coarse for the hit. [`HdrHistogram`] keeps
+//! *relative* resolution instead — bucket width grows with magnitude,
+//! like the classic HdrHistogram — so one instrument spans nanoseconds
+//! to minutes with a bounded worst-case quantile error.
 //!
 //! Layout (all derived from two integers, so bucket boundaries are a
 //! deterministic pure function of the configuration):
@@ -104,11 +101,6 @@ impl HdrHistogram {
         self.max_trackable
     }
 
-    /// Number of buckets in this configuration.
-    pub fn bucket_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total observations recorded (saturated ones included).
     pub fn total(&self) -> u64 {
         self.total
@@ -136,7 +128,7 @@ impl HdrHistogram {
 
     /// The bucket index holding `v` (after clamping to the trackable
     /// range).
-    pub fn index_for(&self, v: u64) -> usize {
+    fn index_for(&self, v: u64) -> usize {
         let v = v.min(self.max_trackable);
         let sub = 1u64 << self.sub_bits;
         if v < sub {
@@ -150,7 +142,7 @@ impl HdrHistogram {
     }
 
     /// The half-open value range `[lo, hi)` bucket `i` covers.
-    pub fn bucket_range(&self, i: usize) -> (u64, u64) {
+    fn bucket_range(&self, i: usize) -> (u64, u64) {
         let sub = 1u64 << self.sub_bits;
         if (i as u64) < sub {
             return (i as u64, i as u64 + 1);
@@ -166,20 +158,12 @@ impl HdrHistogram {
 
     /// Records one observation.
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let clamped = v.min(self.max_trackable);
         if v > self.max_trackable {
-            self.saturated += n;
+            self.saturated += 1;
         }
         let i = self.index_for(clamped);
-        self.counts[i] += n;
+        self.counts[i] += 1;
         if self.total == 0 {
             self.min_seen = clamped;
             self.max_seen = clamped;
@@ -187,8 +171,8 @@ impl HdrHistogram {
             self.min_seen = self.min_seen.min(clamped);
             self.max_seen = self.max_seen.max(clamped);
         }
-        self.total += n;
-        self.sum += clamped as u128 * n as u128;
+        self.total += 1;
+        self.sum += u128::from(clamped);
     }
 
     /// Folds `other` into `self`. Both histograms must share a
@@ -238,7 +222,7 @@ impl HdrHistogram {
 
     /// Non-empty buckets as `(le, count)` pairs, ascending, where `le`
     /// is the bucket's inclusive upper value bound.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -272,11 +256,6 @@ impl HdrHandle {
     /// Records one observation.
     pub fn observe(&self, v: u64) {
         self.0.lock().expect("hdr histogram poisoned").record(v);
-    }
-
-    /// Folds a thread-local histogram into the shared one.
-    pub fn merge_from(&self, other: &HdrHistogram) {
-        self.0.lock().expect("hdr histogram poisoned").merge(other);
     }
 
     /// Runs `f` against the current state.
@@ -382,7 +361,7 @@ mod tests {
     fn bucket_boundaries_are_deterministic_and_contiguous() {
         let h = HdrHistogram::with_config(5, 1 << 20);
         let mut expected_lo = 0u64;
-        for i in 0..h.bucket_count() {
+        for i in 0..h.counts.len() {
             let (lo, hi) = h.bucket_range(i);
             assert_eq!(lo, expected_lo, "bucket {i} not contiguous");
             assert!(hi > lo);
@@ -398,7 +377,7 @@ mod tests {
         }
         // Same config ⇒ same boundaries.
         let h2 = HdrHistogram::with_config(5, 1 << 20);
-        assert_eq!(h.bucket_count(), h2.bucket_count());
+        assert_eq!(h.counts.len(), h2.counts.len());
     }
 
     #[test]
@@ -460,7 +439,7 @@ mod tests {
         assert_eq!(h.sum(), 5 + 1000 + 1000);
         assert_eq!(
             h.value_at_quantile(1.0),
-            Some(h.bucket_range(h.bucket_count() - 1).1 - 1)
+            Some(h.bucket_range(h.counts.len() - 1).1 - 1)
         );
     }
 
@@ -525,10 +504,10 @@ mod tests {
         handle.observe(100);
         h2.observe(200);
         assert_eq!(handle.with(|h| h.total()), 2);
-        // Per-thread locals folded through merge_from.
+        // Per-thread locals folded into the shared histogram.
         let mut local = HdrHistogram::new();
         local.record(300);
-        handle.merge_from(&local);
+        handle.0.lock().unwrap().merge(&local);
         assert_eq!(handle.with(|h| h.total()), 3);
         handle.clear();
         assert_eq!(handle.with(|h| h.total()), 0);
@@ -538,10 +517,10 @@ mod tests {
     fn clear_keeps_configuration() {
         let mut h = HdrHistogram::with_config(4, 1 << 16);
         h.record(77);
-        let buckets = h.bucket_count();
+        let buckets = h.counts.len();
         h.clear();
         assert_eq!(h.total(), 0);
-        assert_eq!(h.bucket_count(), buckets);
+        assert_eq!(h.counts.len(), buckets);
         h.record(77); // still usable
         assert_eq!(h.total(), 1);
     }

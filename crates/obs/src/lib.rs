@@ -8,9 +8,9 @@
 //!   NDJSON to a runtime-selectable sink ([`journal::Sink::Noop`] /
 //!   `Stderr` / `File`). The default is `Noop`: silent and
 //!   allocation-free, so library code can emit unconditionally.
-//! * [`metrics`] — counters, gauges, histograms, and quantile summaries
-//!   (aggregation math reused from `gps_stats`), snapshotted to
-//!   deterministic JSON reports (`results/*_metrics.json`).
+//! * [`metrics`] — counters, gauges, and log-bucketed latency histograms
+//!   ([`hdrhist`]), snapshotted to deterministic JSON reports
+//!   (`results/*_metrics.json`).
 //! * [`span`] — RAII wall-clock timers with hierarchical `/`-separated
 //!   labels for the hot paths (θ/ξ optimization, Perron iteration, the
 //!   simulator event loops), folded into the same registry.
@@ -64,8 +64,8 @@ pub mod span;
 pub mod trace;
 
 pub use exporter::{
-    current_request_id, http_get, to_prometheus_text, ClientConfig, Exporter, HttpClient,
-    HttpRequest, RequestHandler, RetryingClient, RouteHandler, RouteResponse, TelemetryConfig,
+    current_request_id, to_prometheus_text, ClientConfig, Exporter, HttpClient, HttpRequest,
+    RequestHandler, RetryingClient, RouteResponse, TelemetryConfig,
 };
 pub use hdrhist::{HdrHandle, HdrHistogram, HdrSnapshot};
 pub use journal::{FieldValue, Journal, Level, ParsedEvent, SinkKind};

@@ -73,11 +73,6 @@ impl RunManifest {
         self.wall_ms = Some(ms);
     }
 
-    /// The campaign name.
-    pub fn campaign_name(&self) -> &str {
-        &self.campaign
-    }
-
     /// Renders the manifest as JSON.
     pub fn to_json(&self) -> String {
         let mut root: Vec<(String, Json)> = vec![

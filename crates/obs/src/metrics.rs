@@ -1,5 +1,5 @@
-//! The metrics registry: counters, gauges, histograms, and quantile
-//! summaries, snapshotted to deterministic JSON.
+//! The metrics registry: counters, gauges, log-bucketed (HDR) latency
+//! histograms, and span timing, snapshotted to deterministic JSON.
 //!
 //! Recording is built for hot paths: a [`Counter`] or [`Gauge`] handle is
 //! one `Arc<AtomicU64>`, so after registration an update is a single
@@ -7,19 +7,15 @@
 //! through a mutex-guarded `BTreeMap` and is expected once per metric, not
 //! per observation.
 //!
-//! Aggregation math is deliberately *not* reimplemented here: histograms
-//! are [`gps_stats::Histogram`] (fixed-width bins + under/overflow) and
-//! summaries combine [`gps_stats::StreamingMoments`] with three
-//! [`gps_stats::P2Quantile`] estimators (p50/p90/p99).
-//!
 //! Snapshots render with sorted metric names and fixed key order, so a
 //! seeded run produces a byte-identical `*_metrics.json` every time; the
 //! only nondeterministic section is `"spans"` (wall-clock timing), which
 //! consumers strip before comparing (see [`Snapshot::to_json_without_spans`]).
+//! The `"histograms"` and `"summaries"` keys are kept as empty objects so
+//! the committed metrics files keep their bytes.
 
 use crate::hdrhist::{HdrHandle, HdrHistogram, HdrSnapshot};
 use crate::json::{fmt_f64, write_escaped};
-use gps_stats::{Histogram, P2Quantile, StreamingMoments};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -92,64 +88,6 @@ impl Gauge {
     }
 }
 
-/// A fixed-width histogram handle (mutex-guarded [`Histogram`]).
-#[derive(Debug, Clone)]
-pub struct HistogramHandle(Arc<Mutex<Histogram>>);
-
-impl HistogramHandle {
-    /// Records one observation.
-    pub fn observe(&self, x: f64) {
-        self.0.lock().expect("histogram poisoned").push(x);
-    }
-
-    /// Runs `f` against the current histogram state.
-    pub fn with<R>(&self, f: impl FnOnce(&Histogram) -> R) -> R {
-        f(&self.0.lock().expect("histogram poisoned"))
-    }
-}
-
-/// Streaming summary state: moments plus p50/p90/p99 estimators.
-#[derive(Debug)]
-pub struct SummaryState {
-    /// Welford moments (count/mean/min/max).
-    pub moments: StreamingMoments,
-    /// P² quantile estimators for 0.5, 0.9, 0.99.
-    pub quantiles: [P2Quantile; 3],
-}
-
-impl SummaryState {
-    fn new() -> Self {
-        Self {
-            moments: StreamingMoments::new(),
-            quantiles: [
-                P2Quantile::new(0.5),
-                P2Quantile::new(0.9),
-                P2Quantile::new(0.99),
-            ],
-        }
-    }
-}
-
-/// A quantile-summary handle.
-#[derive(Debug, Clone)]
-pub struct Summary(Arc<Mutex<SummaryState>>);
-
-impl Summary {
-    /// Records one observation.
-    pub fn observe(&self, x: f64) {
-        let mut s = self.0.lock().expect("summary poisoned");
-        s.moments.push(x);
-        for q in &mut s.quantiles {
-            q.push(x);
-        }
-    }
-
-    /// Runs `f` against the current summary state.
-    pub fn with<R>(&self, f: impl FnOnce(&SummaryState) -> R) -> R {
-        f(&self.0.lock().expect("summary poisoned"))
-    }
-}
-
 /// Accumulated wall-clock statistics for one span label.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanStats {
@@ -190,9 +128,7 @@ impl SpanStats {
 struct Inner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, HistogramHandle>,
     hdr: BTreeMap<String, HdrHandle>,
-    summaries: BTreeMap<String, Summary>,
     spans: BTreeMap<String, SpanStats>,
 }
 
@@ -226,16 +162,6 @@ impl Registry {
             .clone()
     }
 
-    /// Returns the histogram named `name`, creating it over `[lo, hi)`
-    /// with `bins` buckets on first use (later calls ignore the shape).
-    pub fn histogram(&self, name: &str, lo: f64, hi: f64, bins: usize) -> HistogramHandle {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| HistogramHandle(Arc::new(Mutex::new(Histogram::new(lo, hi, bins)))))
-            .clone()
-    }
-
     /// Returns the log-bucketed (HDR-style) histogram named `name`,
     /// creating it with the default configuration on first use — the
     /// instrument for latency-like quantities spanning many orders of
@@ -245,21 +171,12 @@ impl Registry {
     }
 
     /// Like [`hdr`](Self::hdr) with an explicit first-use constructor
-    /// (later calls ignore the shape, mirroring [`histogram`](Self::histogram)).
-    pub fn hdr_with(&self, name: &str, build: impl FnOnce() -> HdrHistogram) -> HdrHandle {
+    /// (later calls ignore the shape).
+    pub(crate) fn hdr_with(&self, name: &str, build: impl FnOnce() -> HdrHistogram) -> HdrHandle {
         let mut g = self.inner.lock().expect("registry poisoned");
         g.hdr
             .entry(name.to_string())
             .or_insert_with(|| HdrHandle::new(build()))
-            .clone()
-    }
-
-    /// Returns the quantile summary named `name`, creating it on first use.
-    pub fn summary(&self, name: &str) -> Summary {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.summaries
-            .entry(name.to_string())
-            .or_insert_with(|| Summary(Arc::new(Mutex::new(SummaryState::new()))))
             .clone()
     }
 
@@ -280,8 +197,8 @@ impl Registry {
     }
 
     /// Clears every metric back to its initial state. Outstanding handles
-    /// stay valid (counters/gauges are zeroed in place); histogram shapes
-    /// are preserved with counts reset.
+    /// stay valid (counters/gauges are zeroed in place); HDR histograms
+    /// keep their configuration with counts reset.
     pub fn reset(&self) {
         let mut g = self.inner.lock().expect("registry poisoned");
         for c in g.counters.values() {
@@ -290,20 +207,8 @@ impl Registry {
         for v in g.gauges.values() {
             v.0.store(0.0f64.to_bits(), Ordering::Relaxed);
         }
-        for h in g.histograms.values() {
-            let mut hist = h.0.lock().expect("histogram poisoned");
-            let fresh = {
-                let lo = hist.bin_range(0).0;
-                let hi = hist.bin_range(hist.num_bins() - 1).1;
-                Histogram::new(lo, hi, hist.num_bins())
-            };
-            *hist = fresh;
-        }
         for h in g.hdr.values() {
             h.clear();
-        }
-        for s in g.summaries.values() {
-            *s.0.lock().expect("summary poisoned") = SummaryState::new();
         }
         g.spans.clear();
     }
@@ -318,112 +223,12 @@ impl Registry {
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
             gauges: g.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: g
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), v.with(|h| HistogramSnapshot::from(h))))
-                .collect(),
             hdr: g
                 .hdr
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            summaries: g
-                .summaries
-                .iter()
-                .map(|(k, v)| (k.clone(), v.with(|s| SummarySnapshot::from(s))))
-                .collect(),
             spans: g.spans.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        }
-    }
-}
-
-/// A frozen histogram: shape, counts, and derived quantiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Lower edge of the binned range.
-    pub lo: f64,
-    /// Upper edge of the binned range.
-    pub hi: f64,
-    /// Per-bin counts.
-    pub bins: Vec<u64>,
-    /// Observations below `lo`.
-    pub underflow: u64,
-    /// Observations at or above `hi`.
-    pub overflow: u64,
-    /// Total observations including under/overflow.
-    pub total: u64,
-}
-
-impl From<&Histogram> for HistogramSnapshot {
-    fn from(h: &Histogram) -> Self {
-        HistogramSnapshot {
-            lo: h.bin_range(0).0,
-            hi: h.bin_range(h.num_bins() - 1).1,
-            bins: (0..h.num_bins()).map(|i| h.count(i)).collect(),
-            underflow: h.underflow(),
-            overflow: h.overflow(),
-            total: h.total(),
-        }
-    }
-}
-
-impl HistogramSnapshot {
-    /// The `q`-quantile (`0 < q < 1`) interpolated from binned counts,
-    /// treating each bin's mass as uniform over its range. Under/overflow
-    /// mass clamps to the respective edge. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        if self.total == 0 {
-            return None;
-        }
-        let target = q * self.total as f64;
-        let mut acc = self.underflow as f64;
-        if target <= acc {
-            return Some(self.lo);
-        }
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            let next = acc + c as f64;
-            if target <= next && c > 0 {
-                let frac = (target - acc) / c as f64;
-                return Some(self.lo + w * (i as f64 + frac));
-            }
-            acc = next;
-        }
-        Some(self.hi)
-    }
-}
-
-/// A frozen quantile summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SummarySnapshot {
-    /// Observation count.
-    pub count: u64,
-    /// Mean of observations.
-    pub mean: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-    /// Estimated p50/p90/p99 (`None` when empty).
-    pub p50: Option<f64>,
-    /// Estimated p90.
-    pub p90: Option<f64>,
-    /// Estimated p99.
-    pub p99: Option<f64>,
-}
-
-impl From<&SummaryState> for SummarySnapshot {
-    fn from(s: &SummaryState) -> Self {
-        SummarySnapshot {
-            count: s.moments.count(),
-            mean: s.moments.mean(),
-            min: s.moments.min(),
-            max: s.moments.max(),
-            p50: s.quantiles[0].estimate(),
-            p90: s.quantiles[1].estimate(),
-            p99: s.quantiles[2].estimate(),
         }
     }
 }
@@ -436,21 +241,10 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauge values by name.
     pub gauges: Vec<(String, f64)>,
-    /// Histogram snapshots by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
     /// HDR (log-bucketed) histogram snapshots by name.
     pub hdr: Vec<(String, HdrSnapshot)>,
-    /// Summary snapshots by name.
-    pub summaries: Vec<(String, SummarySnapshot)>,
     /// Span timing stats by hierarchical path (wall-clock; nondeterministic).
     pub spans: Vec<(String, SpanStats)>,
-}
-
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) => fmt_f64(x),
-        None => "null".to_string(),
-    }
 }
 
 impl Snapshot {
@@ -458,9 +252,7 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.hdr.is_empty()
-            && self.summaries.is_empty()
             && self.spans.is_empty()
     }
 
@@ -511,27 +303,10 @@ impl Snapshot {
             write_escaped(name, &mut out);
             out.push_str(&format!(": {}", fmt_f64(*v)));
         }
+        // `"histograms"` and `"summaries"` stay as empty objects, and the
+        // HDR section appears only when an HDR histogram was registered,
+        // so the committed metrics files keep their exact bytes.
         out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_escaped(name, &mut out);
-            let bins: Vec<String> = h.bins.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!(
-                ": {{\"lo\": {}, \"hi\": {}, \"bins\": [{}], \"underflow\": {}, \
-                 \"overflow\": {}, \"total\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                fmt_f64(h.lo),
-                fmt_f64(h.hi),
-                bins.join(","),
-                h.underflow,
-                h.overflow,
-                h.total,
-                opt_f64(h.quantile(0.5)),
-                opt_f64(h.quantile(0.9)),
-                opt_f64(h.quantile(0.99)),
-            ));
-        }
-        // The HDR section appears only when an HDR histogram was
-        // registered: pre-existing snapshots keep their exact bytes.
         if !self.hdr.is_empty() {
             out.push_str("\n  },\n  \"hdr_histograms\": {");
             for (i, (name, h)) in self.hdr.iter().enumerate() {
@@ -565,23 +340,7 @@ impl Snapshot {
                 ));
             }
         }
-        out.push_str("\n  },\n  \"summaries\": {");
-        for (i, (name, s)) in self.summaries.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_escaped(name, &mut out);
-            out.push_str(&format!(
-                ": {{\"count\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-                s.count,
-                fmt_f64(s.mean),
-                fmt_f64(s.min),
-                fmt_f64(s.max),
-                opt_f64(s.p50),
-                opt_f64(s.p90),
-                opt_f64(s.p99),
-            ));
-        }
-        out.push_str("\n  }");
+        out.push_str("\n  },\n  \"summaries\": {\n  }");
         if with_spans {
             out.push_str(",\n  \"spans\": ");
             out.push_str(&self.spans_json());
@@ -618,39 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_from_bins() {
-        let r = Registry::new();
-        let h = r.histogram("lat", 0.0, 10.0, 10);
-        for i in 0..100 {
-            h.observe(i as f64 / 10.0); // uniform on [0, 10)
-        }
-        let snap = r.snapshot();
-        let hs = &snap.histograms[0].1;
-        assert_eq!(hs.total, 100);
-        let p50 = hs.quantile(0.5).unwrap();
-        assert!((p50 - 5.0).abs() < 0.6, "p50 {p50}");
-        let p99 = hs.quantile(0.99).unwrap();
-        assert!(p99 > 9.0, "p99 {p99}");
-    }
-
-    #[test]
-    fn summary_tracks_quantiles() {
-        let r = Registry::new();
-        let s = r.summary("delay");
-        for i in 1..=1000 {
-            s.observe(i as f64);
-        }
-        let snap = r.snapshot();
-        let ss = &snap.summaries[0].1;
-        assert_eq!(ss.count, 1000);
-        assert_eq!(ss.min, 1.0);
-        assert_eq!(ss.max, 1000.0);
-        assert!((ss.mean - 500.5).abs() < 1e-9);
-        assert!((ss.p50.unwrap() - 500.0).abs() < 25.0);
-        assert!((ss.p99.unwrap() - 990.0).abs() < 25.0);
-    }
-
-    #[test]
     fn span_stats_accumulate() {
         let r = Registry::new();
         r.record_span("a/b", 100);
@@ -671,8 +397,7 @@ mod tests {
             r.counter("z.last").add(2);
             r.counter("a.first").add(1);
             r.gauge("mid").set(1.5);
-            r.summary("s").observe(3.0);
-            r.histogram("h", 0.0, 1.0, 2).observe(0.3);
+            r.hdr("h").observe(300);
             r.record_span("timed", 123); // wall clock — excluded below
             r.snapshot()
         };
@@ -695,119 +420,12 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("n");
         c.add(5);
-        let h = r.histogram("h", 0.0, 4.0, 4);
-        h.observe(1.0);
         r.record_span("sp", 10);
         r.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(r.snapshot().histograms[0].1.total, 0);
         assert!(r.span_stats("sp").is_none());
         c.inc(); // handle still live
         assert_eq!(r.counter("n").get(), 1);
-    }
-
-    fn histogram_by_name(r: &Registry, name: &str) -> HistogramSnapshot {
-        r.snapshot()
-            .histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h.clone())
-            .expect("histogram present")
-    }
-
-    #[test]
-    fn histogram_quantile_edge_cases() {
-        let r = Registry::new();
-        // Empty: no quantile at all.
-        let h = r.histogram("empty", 0.0, 1.0, 4);
-        let hs = histogram_by_name(&r, "empty");
-        assert_eq!(hs.total, 0);
-        assert_eq!(hs.quantile(0.5), None);
-        // Single sample: every quantile lands in its bin.
-        h.observe(0.3); // bin 1 of [0,1) with 4 bins
-        let hs = histogram_by_name(&r, "empty");
-        for q in [0.01, 0.5, 0.99] {
-            let v = hs.quantile(q).unwrap();
-            assert!((0.25..=0.5).contains(&v), "q={q} -> {v}");
-        }
-        // All-underflow mass clamps to the lower edge.
-        let u = r.histogram("under", 0.0, 1.0, 4);
-        u.observe(-5.0);
-        u.observe(-2.0);
-        let us = histogram_by_name(&r, "under");
-        assert_eq!(us.quantile(0.5), Some(0.0));
-        // All-overflow mass clamps to the upper edge.
-        let o = r.histogram("over", 0.0, 1.0, 4);
-        o.observe(7.0);
-        let os = histogram_by_name(&r, "over");
-        assert_eq!(os.quantile(0.99), Some(1.0));
-        // q outside (0,1) is a caller bug.
-        let panics = |q: f64| {
-            let hs = hs.clone();
-            std::panic::catch_unwind(move || hs.quantile(q)).is_err()
-        };
-        assert!(panics(0.0));
-        assert!(panics(1.0));
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates_within_bins() {
-        let r = Registry::new();
-        let h = r.histogram("h", 0.0, 10.0, 10);
-        // 10 samples in bin 0, 10 in bin 9: p25 sits mid-bin-0, p75
-        // mid-bin-9, p50 at the boundary mass split.
-        for _ in 0..10 {
-            h.observe(0.5);
-            h.observe(9.5);
-        }
-        let hs = r.snapshot().histograms[0].1.clone();
-        assert!((hs.quantile(0.25).unwrap() - 0.5).abs() < 1e-12);
-        assert!((hs.quantile(0.75).unwrap() - 9.5).abs() < 1e-12);
-        // Near-p0 / near-p100 stay inside the data range.
-        assert!(hs.quantile(0.001).unwrap() >= 0.0);
-        assert!(hs.quantile(0.999).unwrap() <= 10.0);
-    }
-
-    fn summary_by_name(r: &Registry, name: &str) -> SummarySnapshot {
-        r.snapshot()
-            .summaries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| s.clone())
-            .expect("summary present")
-    }
-
-    #[test]
-    fn summary_quantile_edge_cases() {
-        let r = Registry::new();
-        // Empty summary: no estimates, moments at their identities.
-        let s = r.summary("s");
-        let ss = summary_by_name(&r, "s");
-        assert_eq!(ss.count, 0);
-        assert_eq!(ss.p50, None);
-        assert_eq!(ss.p90, None);
-        assert_eq!(ss.p99, None);
-        // Single sample: every estimator that reports must report it.
-        s.observe(4.25);
-        let ss = summary_by_name(&r, "s");
-        assert_eq!(ss.count, 1);
-        assert_eq!(ss.min, 4.25);
-        assert_eq!(ss.max, 4.25);
-        for q in [ss.p50, ss.p90, ss.p99].into_iter().flatten() {
-            assert_eq!(q, 4.25);
-        }
-        // All-equal samples: the P² markers cannot spread.
-        let e = r.summary("eq");
-        for _ in 0..50 {
-            e.observe(7.0);
-        }
-        let es = summary_by_name(&r, "eq");
-        assert_eq!(es.count, 50);
-        assert_eq!(es.p50, Some(7.0));
-        assert_eq!(es.p90, Some(7.0));
-        assert_eq!(es.p99, Some(7.0));
-        assert_eq!(es.min, 7.0);
-        assert_eq!(es.max, 7.0);
     }
 
     #[test]

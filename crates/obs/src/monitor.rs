@@ -32,6 +32,10 @@ use crate::metrics::{labeled, Registry};
 /// The tolerance environment knob.
 pub const VIOLATION_TOLERANCE_ENV: &str = "GPS_OBS_VIOL_TOL";
 
+/// Standard errors of binomial noise allowed above the bound before a
+/// grid point counts as a violation.
+const SIGMAS: f64 = 3.0;
+
 /// An exponential tail bound `x ↦ min(1, Λ·e^{-θx})`, the shape every
 /// E.B.B.-style theorem in this workspace produces.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +97,6 @@ impl SeriesKind {
 pub struct BoundMonitor {
     curves: Vec<SessionCurves>,
     tolerance: f64,
-    sigmas: f64,
 }
 
 impl BoundMonitor {
@@ -106,23 +109,7 @@ impl BoundMonitor {
             .and_then(|s| s.parse::<f64>().ok())
             .filter(|t| t.is_finite() && *t > 0.0)
             .unwrap_or(1.0);
-        BoundMonitor {
-            curves,
-            tolerance,
-            sigmas: 3.0,
-        }
-    }
-
-    /// Overrides the multiplicative tolerance (ignoring the env knob).
-    pub fn with_tolerance(mut self, tolerance: f64) -> BoundMonitor {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Overrides the standard-error allowance multiplier.
-    pub fn with_sigmas(mut self, sigmas: f64) -> BoundMonitor {
-        self.sigmas = sigmas;
-        self
+        BoundMonitor { curves, tolerance }
     }
 
     /// Number of sessions the monitor covers.
@@ -175,7 +162,7 @@ impl BoundMonitor {
                 continue;
             }
             let se = (p * (1.0 - p) / samples as f64).sqrt();
-            let excess = p - (bound + self.sigmas * se);
+            let excess = p - (bound + SIGMAS * se);
             if excess > 0.0 {
                 violations += 1;
                 if excess > worst.3 {
@@ -217,6 +204,11 @@ impl BoundMonitor {
 mod tests {
     use super::*;
 
+    /// A monitor at a fixed tolerance, independent of `GPS_OBS_VIOL_TOL`.
+    fn at_tolerance(curves: Vec<SessionCurves>, tolerance: f64) -> BoundMonitor {
+        BoundMonitor { curves, tolerance }
+    }
+
     fn series_from(points: &[(f64, f64)]) -> Vec<(f64, f64)> {
         points.to_vec()
     }
@@ -231,11 +223,13 @@ mod tests {
     #[test]
     fn dominated_series_is_silent() {
         let r = Registry::new();
-        let m = BoundMonitor::new(vec![SessionCurves {
-            backlog: Some(BoundCurve::new(1.0, 0.5)),
-            ..Default::default()
-        }])
-        .with_tolerance(1.0);
+        let m = at_tolerance(
+            vec![SessionCurves {
+                backlog: Some(BoundCurve::new(1.0, 0.5)),
+                ..Default::default()
+            }],
+            1.0,
+        );
         // Empirical tail well under e^{-x/2}.
         let s = series_from(&[(0.0, 1.0), (2.0, 0.1), (4.0, 0.01), (8.0, 0.0)]);
         assert_eq!(
@@ -249,11 +243,13 @@ mod tests {
     fn exceedance_fires_counter() {
         let r = Registry::new();
         // Absurdly tight bound: everything nonzero beyond x=0 violates.
-        let m = BoundMonitor::new(vec![SessionCurves {
-            backlog: Some(BoundCurve::new(1e-9, 5.0)),
-            ..Default::default()
-        }])
-        .with_tolerance(1.0);
+        let m = at_tolerance(
+            vec![SessionCurves {
+                backlog: Some(BoundCurve::new(1e-9, 5.0)),
+                ..Default::default()
+            }],
+            1.0,
+        );
         let s = series_from(&[(1.0, 0.5), (2.0, 0.25), (3.0, 0.0)]);
         let v = m.check_series(&r, 0, SeriesKind::Backlog, &s, 1_000_000, 3);
         assert_eq!(v, 2); // the zero-frequency point cannot violate
@@ -268,11 +264,13 @@ mod tests {
     #[test]
     fn small_samples_are_forgiven_by_standard_error() {
         let r = Registry::new();
-        let m = BoundMonitor::new(vec![SessionCurves {
-            backlog: Some(BoundCurve::new(1.0, 1.0)),
-            ..Default::default()
-        }])
-        .with_tolerance(1.0);
+        let m = at_tolerance(
+            vec![SessionCurves {
+                backlog: Some(BoundCurve::new(1.0, 1.0)),
+                ..Default::default()
+            }],
+            1.0,
+        );
         // p = 0.5 at x = 1 exceeds e^{-1} ≈ 0.368, but with only 10
         // samples the 3σ allowance (≈ 0.47) absorbs it…
         let s = series_from(&[(1.0, 0.5)]);
@@ -292,12 +290,12 @@ mod tests {
             ..Default::default()
         }];
         let s = series_from(&[(1.0, 0.5)]);
-        let strict = BoundMonitor::new(curves.clone()).with_tolerance(1.0);
+        let strict = at_tolerance(curves.clone(), 1.0);
         assert_eq!(
             strict.check_series(&r, 0, SeriesKind::Backlog, &s, 1_000_000, 0),
             1
         );
-        let slack = BoundMonitor::new(curves).with_tolerance(2.0);
+        let slack = at_tolerance(curves, 2.0);
         assert_eq!(
             slack.check_series(&r, 0, SeriesKind::Backlog, &s, 1_000_000, 0),
             0
@@ -307,12 +305,14 @@ mod tests {
     #[test]
     fn delay_shift_moves_the_threshold() {
         let r = Registry::new();
-        let m = BoundMonitor::new(vec![SessionCurves {
-            backlog: None,
-            delay: Some(BoundCurve::new(0.9, 2.0)),
-            delay_shift: 1.0,
-        }])
-        .with_tolerance(1.0);
+        let m = at_tolerance(
+            vec![SessionCurves {
+                backlog: None,
+                delay: Some(BoundCurve::new(0.9, 2.0)),
+                delay_shift: 1.0,
+            }],
+            1.0,
+        );
         // At d = 1 the shifted bound is evaluated at 0 → 0.9; p = 0.5
         // does not violate. Without the shift it would (bound ≈ 0.12).
         let s = series_from(&[(1.0, 0.5)]);
@@ -320,12 +320,14 @@ mod tests {
             m.check_series(&r, 0, SeriesKind::Delay, &s, 1_000_000, 0),
             0
         );
-        let unshifted = BoundMonitor::new(vec![SessionCurves {
-            backlog: None,
-            delay: Some(BoundCurve::new(0.9, 2.0)),
-            delay_shift: 0.0,
-        }])
-        .with_tolerance(1.0);
+        let unshifted = at_tolerance(
+            vec![SessionCurves {
+                backlog: None,
+                delay: Some(BoundCurve::new(0.9, 2.0)),
+                delay_shift: 0.0,
+            }],
+            1.0,
+        );
         assert_eq!(
             unshifted.check_series(&r, 0, SeriesKind::Delay, &s, 1_000_000, 0),
             1

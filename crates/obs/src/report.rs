@@ -169,7 +169,7 @@ pub struct Dashboard {
 }
 
 /// Escapes text for HTML body and attribute positions.
-pub fn html_escape(s: &str) -> String {
+fn html_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -235,7 +235,7 @@ fn fmt_coord(v: f64) -> String {
 }
 
 /// Renders one curve chart as an inline SVG string.
-pub fn svg_curve_chart(chart: &CurveChart) -> String {
+fn svg_curve_chart(chart: &CurveChart) -> String {
     let pts: Vec<(f64, f64)> = chart
         .series
         .iter()
@@ -525,7 +525,7 @@ pub fn timeline_from_chrome_trace(doc: &Json) -> Option<TraceTimeline> {
 /// name, start, duration), plus a busy-fraction utilization bar per lane
 /// on the right. Palette slots are assigned to slice names in order of
 /// first appearance (extras share the last slot; tooltips disambiguate).
-pub fn svg_trace_timeline(t: &TraceTimeline) -> String {
+fn svg_trace_timeline(t: &TraceTimeline) -> String {
     if t.lanes.is_empty() {
         return "<p class=\"empty\">no timeline data</p>".to_string();
     }
@@ -748,36 +748,6 @@ fn metrics_html(metrics: &Json) -> String {
         .map(|(k, v)| (k.clone(), json_scalar(v)))
         .collect();
     out.push_str(&kv_table("gauges", &gauges));
-
-    let summaries = obj_pairs(metrics.get("summaries"));
-    if !summaries.is_empty() {
-        out.push_str(
-            "<h4>summaries</h4><table><thead><tr><th>name</th><th>count</th>\
-             <th>mean</th><th>min</th><th>max</th><th>p50</th><th>p90</th>\
-             <th>p99</th></tr></thead><tbody>",
-        );
-        for (name, s) in &summaries {
-            let cell = |key: &str| match s.get(key) {
-                Some(v) => json_scalar(v),
-                None => "–".to_string(),
-            };
-            let _ = write!(
-                out,
-                "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-                html_escape(name),
-                cell("count"),
-                cell("mean"),
-                cell("min"),
-                cell("max"),
-                cell("p50"),
-                cell("p90"),
-                cell("p99"),
-            );
-        }
-        out.push_str("</tbody></table>");
-    }
 
     let spans = obj_pairs(metrics.get("spans"));
     if !spans.is_empty() {
@@ -1349,8 +1319,7 @@ mod tests {
                 metrics: Some(
                     json::parse(
                         "{\"counters\":{\"sim.measured_slots\":100},\"gauges\":{},\
-                         \"histograms\":{},\"summaries\":{\"s\":{\"count\":2,\"mean\":1.5,\
-                         \"min\":1,\"max\":2,\"p50\":1.5,\"p90\":2,\"p99\":2}}}",
+                         \"histograms\":{},\"summaries\":{}}",
                     )
                     .unwrap(),
                 ),

@@ -91,22 +91,6 @@ impl SloSpec {
         self
     }
 
-    /// Overrides the alerting windows and burn thresholds.
-    pub fn with_windows(
-        mut self,
-        fast_window_s: u64,
-        fast_burn: f64,
-        slow_window_s: u64,
-        slow_burn: f64,
-    ) -> SloSpec {
-        assert!(fast_window_s > 0 && slow_window_s >= fast_window_s);
-        self.fast_window_s = fast_window_s;
-        self.slow_window_s = slow_window_s;
-        self.fast_burn = fast_burn;
-        self.slow_burn = slow_burn;
-        self
-    }
-
     /// Whether a request on `route` with `status` and `latency_ns`
     /// counts against this SLO, and if so whether it was good.
     pub fn classify(&self, route: &str, status: u16, latency_ns: u64) -> Option<bool> {
@@ -472,8 +456,15 @@ impl SloSet {
 mod tests {
     use super::*;
 
+    /// Short windows (fast 5 s, slow 20 s) so tests step through them.
     fn spec() -> SloSpec {
-        SloSpec::availability("avail", 0.9).with_windows(5, 2.0, 20, 1.5)
+        SloSpec {
+            fast_window_s: 5,
+            fast_burn: 2.0,
+            slow_window_s: 20,
+            slow_burn: 1.5,
+            ..SloSpec::availability("avail", 0.9)
+        }
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Drop for TraceScope {
 // Export
 
 /// Total events dropped so far because a ring buffer was full.
-pub fn dropped_total() -> u64 {
+fn dropped_total() -> u64 {
     collector()
         .buffers
         .lock()

@@ -86,16 +86,12 @@ fn metrics_snapshot_deterministic_under_fixed_seed() {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let hits = r.counter("workload.hits");
         let level = r.gauge("workload.level");
-        let h = r.histogram("workload.values", 0.0, 1.0, 20);
-        let s = r.summary("workload.summary");
         for _ in 0..5_000 {
             let x = rng.next_f64();
             if x > 0.25 {
                 hits.inc();
             }
             level.set(x);
-            h.observe(x);
-            s.observe(x);
         }
         r.snapshot().to_json_without_spans()
     };

@@ -81,6 +81,19 @@ if [ "$dec_a" != "$dec_c" ]; then
     echo "verify.sh: decision stream changed when the cache was disabled ($dec_a vs $dec_c)" >&2
     exit 1
 fi
+# The digests are also pinned, not only compared run against run: a
+# change to the decision stream, the /region body, or the access-log
+# projection of `--replay 2000 --seed 7` must update these values on
+# purpose.
+for pinned in "a.txt:admitd decisions digest: 5d52172c47104cae" \
+    "a.txt:admitd digest: 4b6b7e124659bb68" \
+    "a.txt:admitd access digest: b0599ce1326f4d92" \
+    "c.txt:admitd digest: 0320642a2dd8e52f"; do
+    if ! grep -qxF "${pinned#*:}" "$adm/${pinned%%:*}"; then
+        echo "verify.sh: admitd replay ${pinned%%:*} lacks pinned line '${pinned#*:}'" >&2
+        exit 1
+    fi
+done
 if ! grep -q '^admitd cache: [1-9][0-9]* hits' "$adm/a.txt"; then
     echo "verify.sh: default admitd replay recorded no cache hits" >&2
     exit 1
@@ -232,12 +245,14 @@ for bench_json in results/bench_*.json; do
     fi
 done
 
-# Dashboard generator: rebuilding over unchanged results must be
-# byte-identical (the report is a pure function of the files on disk).
-echo "==> report (dashboard smoke + determinism)"
+# Dashboard generator: rebuilding from the tracked results files must be
+# byte-identical, run to run (the report is a pure function of the files
+# on disk) and to the committed results/dashboard.html. Untracked local
+# outputs (e.g. results/campaign_worker_*) are left out of the rebuild.
+echo "==> report (dashboard determinism + committed copy)"
 tmp_results="$(mktemp -d)"
 trap 'rm -rf "$adm" "$tmp_results" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist" "$regen"' EXIT
-cp -r results/. "$tmp_results"/
+git ls-files -z results | xargs -0 cp -t "$tmp_results"/
 GPS_RESULTS_DIR="$tmp_results" ./target/release/report
 hash1="$(sha256sum "$tmp_results/dashboard.html" | cut -d' ' -f1)"
 GPS_RESULTS_DIR="$tmp_results" ./target/release/report
@@ -246,5 +261,6 @@ if [ "$hash1" != "$hash2" ]; then
     echo "verify.sh: dashboard.html is not deterministic ($hash1 vs $hash2)" >&2
     exit 1
 fi
+cmp results/dashboard.html "$tmp_results/dashboard.html"
 
 echo "verify.sh: all checks passed"

@@ -360,7 +360,7 @@ fn http_transport_completes_campaign_through_backpressure() {
         }
         let (path, query) = match req.path.split_once('?') {
             Some((p, q)) => (p, q),
-            None => (req.path.as_str(), ""),
+            None => (req.path, ""),
         };
         let param = |key: &str| {
             query
@@ -370,7 +370,7 @@ fn http_transport_completes_campaign_through_backpressure() {
                 .map(|(_, v)| v.to_string())
         };
         let mut c = handler_coordinator.lock().unwrap();
-        match (req.method.as_str(), path) {
+        match (req.method, path) {
             ("GET", "/shard") => Some(RouteResponse::json(
                 200,
                 c.lease(&param("worker").unwrap_or_default()).to_json(),
@@ -397,7 +397,7 @@ fn http_transport_completes_campaign_through_backpressure() {
         }
     });
     let server =
-        Exporter::serve_requests("127.0.0.1:0", Registry::new(), handler, None).expect("exporter");
+        Exporter::serve("127.0.0.1:0", Registry::new(), Some(handler), None).expect("exporter");
     let addr = server.local_addr();
     let handles: Vec<_> = (0..2)
         .map(|w| {
