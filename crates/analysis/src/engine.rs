@@ -37,6 +37,25 @@
 //! stamps, so eviction order is a pure function of the request sequence.
 //! Capacity comes from `GPS_ADMIT_CACHE_CAP` (default 65 536; 0 disables
 //! caching entirely, which is what the cold benchmarks run).
+//!
+//! # What is computed when
+//!
+//! Decisions ([`AdmissionEngine::decide`]) are the only writers: they
+//! look certificates up, insert what they compute, move LRU stamps,
+//! count hits, misses and evictions, and update the θ hints. Reads never
+//! touch the cache. [`AdmissionEngine::region`] takes `&self`: it uses a
+//! cached certificate or `g*` when one is present and computes any other
+//! without keeping it. Both paths run the same admissibility core; they
+//! differ only in their cache access (`Memo` vs `Peek`). So the cache
+//! counters count decision lookups only, whatever was read in between.
+//!
+//! Mirroring to a metrics registry is split the same way.
+//! [`AdmissionEngine::publish`] copies the counters and cheap gauges
+//! (load, capacity, cache entries, sessions per class) and does no
+//! lookup. [`AdmissionEngine::publish_region`] writes the region gauges,
+//! at the cost of a region pass, and is meant to run when the registry
+//! is read (`gps_obs::metrics::Registry::set_collector`), not per
+//! decision.
 
 use crate::admission::QosTarget;
 use crate::theta_opt::try_optimize_tail_seeded;
@@ -116,6 +135,7 @@ const KIND_GSTAR: u8 = 1;
 
 /// Cumulative cache counters, mirrored to the metrics registry as
 /// `admission.cache.{hits,misses,evictions}` by [`AdmissionEngine::publish`].
+/// Only decisions move them; reads of the region never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -169,6 +189,11 @@ impl BoundCache {
         }
     }
 
+    /// The cached value for `key`, leaving recency and counters alone.
+    fn peek(&self, key: &CertKey) -> Option<CachedValue> {
+        self.map.get(key).map(|&(value, _)| value)
+    }
+
     fn insert(&mut self, key: CertKey, value: CachedValue) {
         if self.cap == 0 {
             return;
@@ -200,6 +225,124 @@ fn cache_cap_from_env() -> usize {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(DEFAULT_CACHE_CAP)
+}
+
+/// Per-class θ-probe-cell hints; purely an acceleration (see module
+/// docs). While disabled they stay `None`.
+#[derive(Debug, Clone)]
+struct Hints {
+    seeds: Vec<Option<usize>>,
+    on: bool,
+}
+
+impl Hints {
+    fn set(&mut self, j: usize, seed: usize) {
+        if self.on {
+            self.seeds[j] = Some(seed);
+        }
+    }
+}
+
+/// Where an admissibility pass gets its certificates and effective
+/// bandwidths. The pass is one piece of code ([`Certifier`]); only the
+/// cache access differs between the memoizing decision path ([`Memo`])
+/// and the read-only region path ([`Peek`]).
+trait Lookup {
+    /// The cached value for `key`, if any.
+    fn find(&mut self, key: &CertKey) -> Option<CachedValue>;
+    /// Offers a value just computed for `key`.
+    fn keep(&mut self, key: CertKey, value: CachedValue);
+    /// The warm-start hints this pass reads and updates.
+    fn hints(&mut self) -> &mut Hints;
+
+    /// The delay certificate for `(class j, rate g)`: the tighter of the
+    /// closed-form and θ-optimized bounds at the class's delay threshold.
+    /// `None` when `g <= ρ_j`.
+    fn certificate(&mut self, c: &Certifier, j: usize, g: f64) -> Option<TailBound> {
+        let key = CertKey {
+            class_fp: c.fps[j],
+            arg_bits: g.to_bits(),
+            kind: KIND_CERT,
+        };
+        if let Some(CachedValue::Cert { bound, seed }) = self.find(&key) {
+            self.hints().set(j, seed);
+            return Some(bound);
+        }
+        // Cold θ-optimization: the expensive path a slow `/admit` (or a
+        // region read) traces to. Tagged with the serving request ID (0
+        // outside a request).
+        let _miss = gps_obs::trace::scope(
+            gps_obs::TraceKind::RequestDispatch,
+            "engine/cert_miss",
+            gps_obs::current_request_id().unwrap_or(0),
+        );
+        let (bound, seed) = c.compute_certificate(j, g, self.hints().seeds[j])?;
+        self.hints().set(j, seed);
+        self.keep(key, CachedValue::Cert { bound, seed });
+        Some(bound)
+    }
+
+    /// The effective bandwidth `g*_j` (see [`Certifier::compute_gstar`]).
+    fn gstar(&mut self, c: &Certifier, j: usize) -> f64 {
+        let key = CertKey {
+            class_fp: c.fps[j],
+            arg_bits: c.rate.to_bits(),
+            kind: KIND_GSTAR,
+        };
+        if let Some(CachedValue::GStar(g)) = self.find(&key) {
+            return g;
+        }
+        let _miss = gps_obs::trace::scope(
+            gps_obs::TraceKind::RequestDispatch,
+            "engine/gstar_miss",
+            gps_obs::current_request_id().unwrap_or(0),
+        );
+        let g = c.compute_gstar(j);
+        self.keep(key, CachedValue::GStar(g));
+        g
+    }
+}
+
+/// The decision path's lookups: every lookup moves the LRU stamp and is
+/// counted, and a miss is computed and inserted.
+#[derive(Debug, Clone)]
+struct Memo {
+    cache: BoundCache,
+    hints: Hints,
+}
+
+impl Lookup for Memo {
+    fn find(&mut self, key: &CertKey) -> Option<CachedValue> {
+        self.cache.get(key)
+    }
+
+    fn keep(&mut self, key: CertKey, value: CachedValue) {
+        self.cache.insert(key, value);
+    }
+
+    fn hints(&mut self) -> &mut Hints {
+        &mut self.hints
+    }
+}
+
+/// The read path's lookups: a cached value is used as it is and a miss
+/// is computed and dropped, so the engine is never written. The hints
+/// are a private copy: they still shorten the pass's own θ searches.
+struct Peek<'a> {
+    cache: &'a BoundCache,
+    hints: Hints,
+}
+
+impl Lookup for Peek<'_> {
+    fn find(&mut self, key: &CertKey) -> Option<CachedValue> {
+        self.cache.peek(key)
+    }
+
+    fn keep(&mut self, _key: CertKey, _value: CachedValue) {}
+
+    fn hints(&mut self) -> &mut Hints {
+        &mut self.hints
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -371,160 +514,30 @@ pub struct EngineStats {
 }
 
 // ---------------------------------------------------------------------
-// The engine
+// Certificates and admissibility
 
-/// The online admission-control engine. See the module docs for the
-/// model and the determinism contract.
+/// The configured classes and server: the pure certificate functions and
+/// the one admissibility core that both [`Lookup`] paths run. Nothing
+/// here changes after construction.
 #[derive(Debug, Clone)]
-pub struct AdmissionEngine {
+struct Certifier {
     classes: Vec<ClassSpec>,
     fps: Vec<u64>,
-    counts: Vec<u64>,
     rate: f64,
     model: TimeModel,
     backend: CertBackend,
-    cache: BoundCache,
-    /// Per-class θ-probe-cell hints; purely an acceleration (see module
-    /// docs), cleared when warm-starting is disabled.
-    theta_seeds: Vec<Option<usize>>,
-    warm_start: bool,
-    seq: u64,
-    stats: EngineStats,
-    /// Counter values already mirrored to a metrics registry, so
-    /// [`publish`](Self::publish) can add monotone deltas.
-    published: (CacheStats, EngineStats),
 }
 
-impl AdmissionEngine {
-    /// Builds an engine with the cache capacity from
-    /// `GPS_ADMIT_CACHE_CAP` (default [`DEFAULT_CACHE_CAP`]).
-    pub fn new(
-        classes: Vec<ClassSpec>,
-        rate: f64,
-        model: TimeModel,
-        backend: CertBackend,
-    ) -> Result<Self, EngineError> {
-        Self::with_cache_cap(classes, rate, model, backend, cache_cap_from_env())
-    }
-
-    /// Builds an engine with an explicit cache capacity (0 disables
-    /// memoization — every certificate recomputes from scratch).
-    pub fn with_cache_cap(
-        classes: Vec<ClassSpec>,
-        rate: f64,
-        model: TimeModel,
-        backend: CertBackend,
-        cache_cap: usize,
-    ) -> Result<Self, EngineError> {
-        if classes.is_empty() {
-            return Err(EngineError::NoClasses);
-        }
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(EngineError::InvalidRate(rate));
-        }
-        for (j, c) in classes.iter().enumerate() {
-            if !(c.source.rho.is_finite() && c.source.rho > 0.0) {
-                return Err(EngineError::InvalidClassRho { class: j });
-            }
-        }
-        let fps: Vec<u64> = classes
-            .iter()
-            .map(|c| fingerprint_class(c.source, c.target, model))
-            .collect();
-        for i in 0..fps.len() {
-            for k in i + 1..fps.len() {
-                if fps[i] == fps[k] {
-                    return Err(EngineError::DuplicateFingerprint {
-                        first: i,
-                        second: k,
-                    });
-                }
-            }
-        }
-        let n = classes.len();
-        Ok(Self {
-            classes,
-            fps,
-            counts: vec![0; n],
-            rate,
-            model,
-            backend,
-            cache: BoundCache::new(cache_cap),
-            theta_seeds: vec![None; n],
-            warm_start: true,
-            seq: 0,
-            stats: EngineStats::default(),
-            published: (CacheStats::default(), EngineStats::default()),
-        })
-    }
-
-    /// Disables (or re-enables) warm-start hints; decisions are
-    /// bit-identical either way, this only changes how much work a cache
-    /// miss does.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.warm_start = on;
-        if !on {
-            self.theta_seeds.iter_mut().for_each(|s| *s = None);
-        }
-    }
-
-    /// The configured server rate `R`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The traffic classes.
-    pub fn classes(&self) -> &[ClassSpec] {
-        &self.classes
-    }
-
-    /// Current per-class session counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total admitted sessions.
-    pub fn sessions(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Canonical aggregate load `Σ n_j ρ_j`, always recomputed in class
-    /// index order so incremental and from-scratch engines agree bitwise.
-    pub fn load(&self) -> f64 {
-        Self::load_of(&self.classes, &self.counts)
-    }
-
-    fn load_of(classes: &[ClassSpec], counts: &[u64]) -> f64 {
-        classes
+impl Certifier {
+    /// Canonical aggregate load `Σ n_j ρ_j`, always summed in class index
+    /// order so incremental and from-scratch engines agree bitwise.
+    fn load(&self, counts: &[u64]) -> f64 {
+        self.classes
             .iter()
             .zip(counts)
             .map(|(c, &n)| n as f64 * c.source.rho)
             .sum()
     }
-
-    /// Cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats
-    }
-
-    /// Decision counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Bulk-loads a session mix without admission checks — the trusted
-    /// "restore from checkpoint" / benchmark-population path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the count vector length does not match the class list.
-    pub fn set_counts(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.classes.len());
-        self.counts.copy_from_slice(counts);
-    }
-
-    // -----------------------------------------------------------------
-    // Certificates
 
     /// The closed-form Lemma-5 delay bound for one session of class `j`
     /// at dedicated rate `g` (discrete form, or continuous at the
@@ -581,41 +594,6 @@ impl AdmissionEngine {
         try_optimize_tail_seeded(src.alpha, d, hint, family).ok()
     }
 
-    /// The memoized delay certificate for `(class j, rate g)`: the
-    /// tighter of the closed-form and θ-optimized bounds at the class's
-    /// delay threshold. `None` when `g <= ρ_j`.
-    fn certificate(&mut self, j: usize, g: f64) -> Option<TailBound> {
-        let key = CertKey {
-            class_fp: self.fps[j],
-            arg_bits: g.to_bits(),
-            kind: KIND_CERT,
-        };
-        if let Some(CachedValue::Cert { bound, seed }) = self.cache.get(&key) {
-            if self.warm_start {
-                self.theta_seeds[j] = Some(seed);
-            }
-            return Some(bound);
-        }
-        let hint = if self.warm_start {
-            self.theta_seeds[j]
-        } else {
-            None
-        };
-        // Cold θ-optimization: the expensive path a slow `/admit` traces
-        // to. Tagged with the serving request ID (0 outside a request).
-        let _miss = gps_obs::trace::scope(
-            gps_obs::TraceKind::RequestDispatch,
-            "engine/cert_miss",
-            gps_obs::current_request_id().unwrap_or(0),
-        );
-        let (bound, seed) = self.compute_certificate(j, g, hint)?;
-        if self.warm_start {
-            self.theta_seeds[j] = Some(seed);
-        }
-        self.cache.insert(key, CachedValue::Cert { bound, seed });
-        Some(bound)
-    }
-
     /// The pure certificate computation (no cache, no hint mutation).
     fn compute_certificate(
         &self,
@@ -631,32 +609,12 @@ impl AdmissionEngine {
         }
     }
 
-    /// The memoized effective bandwidth `g*_j`: the smallest dedicated
-    /// rate in `(ρ_j, R]` whose closed-form delay bound meets the class
-    /// target, or `+∞` when even the full server rate does not. The
-    /// bisection keeps the invariant "upper endpoint meets the target",
-    /// so the returned rate is always admissible — conservatively
-    /// rounded up by at most the tolerance.
-    fn gstar(&mut self, j: usize) -> f64 {
-        let key = CertKey {
-            class_fp: self.fps[j],
-            arg_bits: self.rate.to_bits(),
-            kind: KIND_GSTAR,
-        };
-        if let Some(CachedValue::GStar(g)) = self.cache.get(&key) {
-            return g;
-        }
-        let _miss = gps_obs::trace::scope(
-            gps_obs::TraceKind::RequestDispatch,
-            "engine/gstar_miss",
-            gps_obs::current_request_id().unwrap_or(0),
-        );
-        let g = self.compute_gstar(j);
-        self.cache.insert(key, CachedValue::GStar(g));
-        g
-    }
-
-    /// The pure `g*` computation (no cache).
+    /// The pure effective bandwidth `g*_j` (no cache): the smallest
+    /// dedicated rate in `(ρ_j, R]` whose closed-form delay bound meets
+    /// the class target, or `+∞` when even the full server rate does not.
+    /// The bisection keeps the invariant "upper endpoint meets the
+    /// target", so the returned rate is always admissible —
+    /// conservatively rounded up by at most the tolerance.
     fn compute_gstar(&self, j: usize) -> f64 {
         let target = self.classes[j].target;
         let meets = |g: f64| match self.closed_delay(j, g) {
@@ -683,21 +641,18 @@ impl AdmissionEngine {
         hi
     }
 
-    // -----------------------------------------------------------------
-    // Admissibility
-
     /// Whether the hypothetical mix `counts` is admissible under the
     /// configured backend.
-    fn mix_admissible(&mut self, counts: &[u64]) -> bool {
+    fn mix_admissible(&self, counts: &[u64], certs: &mut impl Lookup) -> bool {
         assert_eq!(counts.len(), self.classes.len());
         match self.backend {
-            CertBackend::Rpps => self.rpps_mix_admissible(counts),
-            CertBackend::EffectiveBandwidth => self.eb_mix_admissible(counts),
+            CertBackend::Rpps => self.rpps_mix_admissible(counts, certs),
+            CertBackend::EffectiveBandwidth => self.eb_mix_admissible(counts, certs),
         }
     }
 
-    fn rpps_mix_admissible(&mut self, counts: &[u64]) -> bool {
-        let load = Self::load_of(&self.classes, counts);
+    fn rpps_mix_admissible(&self, counts: &[u64], certs: &mut impl Lookup) -> bool {
+        let load = self.load(counts);
         if load == 0.0 {
             return true; // empty mix
         }
@@ -710,7 +665,7 @@ impl AdmissionEngine {
             }
             let g = self.classes[j].source.rho * self.rate / load;
             let target = self.classes[j].target;
-            match self.certificate(j, g) {
+            match certs.certificate(self, j, g) {
                 Some(cert) if cert.tail(target.delay) <= target.epsilon => {}
                 _ => return false,
             }
@@ -718,30 +673,34 @@ impl AdmissionEngine {
         true
     }
 
-    fn eb_mix_admissible(&mut self, counts: &[u64]) -> bool {
+    fn eb_mix_admissible(&self, counts: &[u64], certs: &mut impl Lookup) -> bool {
         let mut weight = 0.0;
         for (j, &n) in counts.iter().enumerate() {
             if n == 0 {
                 continue;
             }
-            weight += n as f64 * self.gstar(j);
+            weight += n as f64 * certs.gstar(self, j);
         }
         weight <= self.rate
     }
 
     /// The delay certificate a granted admit reports: the class's bound
     /// at its guaranteed rate under the (new) mix.
-    fn decision_certificate(&mut self, j: usize, counts: &[u64]) -> Option<TailBound> {
+    fn decision_certificate(
+        &self,
+        j: usize,
+        counts: &[u64],
+        certs: &mut impl Lookup,
+    ) -> Option<TailBound> {
         match self.backend {
             CertBackend::Rpps => {
-                let load = Self::load_of(&self.classes, counts);
-                let g = self.classes[j].source.rho * self.rate / load;
-                self.certificate(j, g)
+                let g = self.classes[j].source.rho * self.rate / self.load(counts);
+                certs.certificate(self, j, g)
             }
             CertBackend::EffectiveBandwidth => {
-                let g = self.gstar(j);
+                let g = certs.gstar(self, j);
                 if g.is_finite() {
-                    self.certificate(j, g)
+                    certs.certificate(self, j, g)
                 } else {
                     None
                 }
@@ -749,12 +708,198 @@ impl AdmissionEngine {
         }
     }
 
+    /// Max additional sessions of class `j` admissible on top of the mix
+    /// `counts`: the unique boundary of a monotone predicate, so any
+    /// lookup path finds the same value.
+    fn headroom(&self, counts: &[u64], j: usize, certs: &mut impl Lookup) -> u64 {
+        let rho = self.classes[j].source.rho;
+        // Stability alone caps the search: load + m·ρ must stay < R.
+        let slack = self.rate - self.load(counts);
+        if slack <= 0.0 {
+            return 0;
+        }
+        let cap = (slack / rho).ceil() as u64 + 1;
+        let mut probe = counts.to_vec();
+        let mut ok = |m: u64| {
+            probe[j] = counts[j] + m;
+            self.mix_admissible(&probe, certs)
+        };
+        if !ok(1) {
+            return 0;
+        }
+        // Exponential bracket, then binary search on the unique boundary.
+        let mut lo = 1u64; // admissible
+        let mut hi = 2u64;
+        while hi < cap && ok(hi) {
+            lo = hi;
+            hi *= 2;
+        }
+        hi = hi.min(cap);
+        if ok(hi) {
+            return hi;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if ok(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+// ---------------------------------------------------------------------
+// The engine
+
+/// The online admission-control engine. See the module docs for the
+/// model, the determinism contract, and what is computed when.
+#[derive(Debug, Clone)]
+pub struct AdmissionEngine {
+    cert: Certifier,
+    memo: Memo,
+    counts: Vec<u64>,
+    seq: u64,
+    stats: EngineStats,
+    /// Counter values already mirrored to a metrics registry, so
+    /// [`publish`](Self::publish) can add monotone deltas.
+    published: (CacheStats, EngineStats),
+}
+
+impl AdmissionEngine {
+    /// Builds an engine with the cache capacity from
+    /// `GPS_ADMIT_CACHE_CAP` (default [`DEFAULT_CACHE_CAP`]).
+    pub fn new(
+        classes: Vec<ClassSpec>,
+        rate: f64,
+        model: TimeModel,
+        backend: CertBackend,
+    ) -> Result<Self, EngineError> {
+        Self::with_cache_cap(classes, rate, model, backend, cache_cap_from_env())
+    }
+
+    /// Builds an engine with an explicit cache capacity (0 disables
+    /// memoization — every certificate recomputes from scratch).
+    pub fn with_cache_cap(
+        classes: Vec<ClassSpec>,
+        rate: f64,
+        model: TimeModel,
+        backend: CertBackend,
+        cache_cap: usize,
+    ) -> Result<Self, EngineError> {
+        if classes.is_empty() {
+            return Err(EngineError::NoClasses);
+        }
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(EngineError::InvalidRate(rate));
+        }
+        for (j, c) in classes.iter().enumerate() {
+            if !(c.source.rho.is_finite() && c.source.rho > 0.0) {
+                return Err(EngineError::InvalidClassRho { class: j });
+            }
+        }
+        let fps: Vec<u64> = classes
+            .iter()
+            .map(|c| fingerprint_class(c.source, c.target, model))
+            .collect();
+        for i in 0..fps.len() {
+            for k in i + 1..fps.len() {
+                if fps[i] == fps[k] {
+                    return Err(EngineError::DuplicateFingerprint {
+                        first: i,
+                        second: k,
+                    });
+                }
+            }
+        }
+        let n = classes.len();
+        Ok(Self {
+            cert: Certifier {
+                classes,
+                fps,
+                rate,
+                model,
+                backend,
+            },
+            memo: Memo {
+                cache: BoundCache::new(cache_cap),
+                hints: Hints {
+                    seeds: vec![None; n],
+                    on: true,
+                },
+            },
+            counts: vec![0; n],
+            seq: 0,
+            stats: EngineStats::default(),
+            published: (CacheStats::default(), EngineStats::default()),
+        })
+    }
+
+    /// Disables (or re-enables) warm-start hints; decisions are
+    /// bit-identical either way, this only changes how much work a cache
+    /// miss does.
+    pub fn set_warm_start(&mut self, on: bool) {
+        let hints = &mut self.memo.hints;
+        hints.on = on;
+        if !on {
+            hints.seeds.iter_mut().for_each(|s| *s = None);
+        }
+    }
+
+    /// The configured server rate `R`.
+    pub fn rate(&self) -> f64 {
+        self.cert.rate
+    }
+
+    /// The traffic classes.
+    pub fn classes(&self) -> &[ClassSpec] {
+        &self.cert.classes
+    }
+
+    /// Current per-class session counts.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Total admitted sessions.
+    pub fn sessions(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Canonical aggregate load `Σ n_j ρ_j`, always recomputed in class
+    /// index order so incremental and from-scratch engines agree bitwise.
+    pub fn load(&self) -> f64 {
+        self.cert.load(&self.counts)
+    }
+
+    /// Cache counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.memo.cache.stats
+    }
+
+    /// Decision counters.
+    pub fn stats(&self) -> EngineStats {
+        self.stats
+    }
+
+    /// Bulk-loads a session mix without admission checks — the trusted
+    /// "restore from checkpoint" / benchmark-population path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count vector length does not match the class list.
+    pub fn set_counts(&mut self, counts: &[u64]) {
+        assert_eq!(counts.len(), self.cert.classes.len());
+        self.counts.copy_from_slice(counts);
+    }
+
     // -----------------------------------------------------------------
     // Decisions
 
     /// Decides one admission request for class `j`.
     pub fn admit(&mut self, j: usize) -> Decision {
-        assert!(j < self.classes.len(), "class {j} out of range");
+        assert!(j < self.cert.classes.len(), "class {j} out of range");
         let rid = gps_obs::current_request_id();
         let _slice = gps_obs::trace::scope(
             gps_obs::TraceKind::RequestDispatch,
@@ -763,10 +908,11 @@ impl AdmissionEngine {
         );
         let mut candidate = self.counts.clone();
         candidate[j] += 1;
-        let ok = self.mix_admissible(&candidate);
+        let ok = self.cert.mix_admissible(&candidate, &mut self.memo);
         let certificate = if ok {
             self.counts = candidate;
-            self.decision_certificate(j, &self.counts.clone())
+            self.cert
+                .decision_certificate(j, &self.counts, &mut self.memo)
         } else {
             None
         };
@@ -806,7 +952,7 @@ impl AdmissionEngine {
 
     /// Releases one session of class `j` (refused when none are held).
     pub fn depart(&mut self, j: usize) -> Decision {
-        assert!(j < self.classes.len(), "class {j} out of range");
+        assert!(j < self.cert.classes.len(), "class {j} out of range");
         let ok = self.counts[j] > 0;
         if ok {
             self.counts[j] -= 1;
@@ -856,15 +1002,30 @@ impl AdmissionEngine {
     /// count plus how many more sessions of it alone the mix could take
     /// (the unique boundary of a monotone predicate, so warm and cold
     /// engines agree exactly).
-    pub fn region(&mut self) -> Vec<RegionRow> {
-        (0..self.classes.len())
+    ///
+    /// A read: cached certificates and `g*`s are used when present, and
+    /// anything else is computed and dropped. No LRU stamp, cache counter
+    /// or θ hint moves, so decisions after it see the same engine as
+    /// decisions without it. A pass runs ~30 admissibility probes per
+    /// class; with few cached entries it costs far more than a decision.
+    pub fn region(&self) -> Vec<RegionRow> {
+        let _slice = gps_obs::trace::scope(
+            gps_obs::TraceKind::RequestDispatch,
+            "engine/region",
+            gps_obs::current_request_id().unwrap_or(0),
+        );
+        let mut peek = Peek {
+            cache: &self.memo.cache,
+            hints: self.memo.hints.clone(),
+        };
+        (0..self.cert.classes.len())
             .map(|j| {
-                let headroom = self.headroom(j);
+                let headroom = self.cert.headroom(&self.counts, j, &mut peek);
                 let sessions = self.counts[j];
                 let denom = sessions + headroom;
                 RegionRow {
                     class: j,
-                    name: self.classes[j].name.clone(),
+                    name: self.cert.classes[j].name.clone(),
                     sessions,
                     headroom,
                     occupancy: if denom == 0 {
@@ -877,59 +1038,17 @@ impl AdmissionEngine {
             .collect()
     }
 
-    /// Max additional sessions of class `j` admissible on top of the
-    /// current mix.
-    fn headroom(&mut self, j: usize) -> u64 {
-        let rho = self.classes[j].source.rho;
-        // Stability alone caps the search: load + m·ρ must stay < R.
-        let slack = self.rate - self.load();
-        if slack <= 0.0 {
-            return 0;
-        }
-        let cap = (slack / rho).ceil() as u64 + 1;
-        let ok = |engine: &mut Self, m: u64| {
-            let mut counts = engine.counts.clone();
-            counts[j] += m;
-            engine.mix_admissible(&counts)
-        };
-        if !ok(self, 1) {
-            return 0;
-        }
-        // Exponential bracket, then binary search on the unique boundary.
-        let mut lo = 1u64; // admissible
-        let mut hi = 2u64;
-        while hi < cap && ok(self, hi) {
-            lo = hi;
-            hi *= 2;
-        }
-        hi = hi.min(cap);
-        if ok(self, hi) {
-            return hi;
-        }
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if ok(self, mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     // -----------------------------------------------------------------
     // Metrics
 
-    /// Mirrors engine state onto a metrics registry: monotone
-    /// `admission.cache.*` / `admission.decisions.*` counters and live
-    /// `admission.sessions{class}` / `admission.region.*` gauges (the
-    /// occupancy gauges the `/metrics` exposition and the dashboard
-    /// panel read).
+    /// Mirrors the engine's counters and cheap gauges onto a metrics
+    /// registry: monotone `admission.cache.*` / `admission.decisions.*`
+    /// counters, and `admission.{load,capacity,cache.entries}` and
+    /// `admission.sessions{class}` gauges. No cache lookup, so it is
+    /// cheap enough to call after every decision. The region gauges are
+    /// [`publish_region`](Self::publish_region)'s.
     pub fn publish(&mut self, registry: &gps_obs::metrics::Registry) {
-        // Region first: computing headroom touches the cache, and the
-        // counters below must mirror the stats *after* those lookups.
-        let rows = self.region();
-        let cache = self.cache.stats;
+        let cache = self.memo.cache.stats;
         let stats = self.stats;
         let (pc, ps) = self.published;
         registry
@@ -955,15 +1074,28 @@ impl AdmissionEngine {
             .add(stats.departed - ps.departed);
         self.published = (cache, stats);
         registry.gauge("admission.load").set(self.load());
-        registry.gauge("admission.capacity").set(self.rate);
+        registry.gauge("admission.capacity").set(self.cert.rate);
         registry
             .gauge("admission.cache.entries")
-            .set(self.cache.len() as f64);
-        for row in rows {
-            let labels = [("class", row.name.as_str())];
+            .set(self.memo.cache.len() as f64);
+        for (class, &n) in self.cert.classes.iter().zip(&self.counts) {
             registry
-                .gauge(&gps_obs::metrics::labeled("admission.sessions", &labels))
-                .set(row.sessions as f64);
+                .gauge(&gps_obs::metrics::labeled(
+                    "admission.sessions",
+                    &[("class", class.name.as_str())],
+                ))
+                .set(n as f64);
+        }
+    }
+
+    /// Writes the `admission.region.{headroom,occupancy}{class}` gauges
+    /// (the occupancy gauges the `/metrics` exposition and the dashboard
+    /// panel read) from one [`region`](Self::region) pass. Like `region`
+    /// it leaves the engine untouched; it costs a region pass, so run it
+    /// when the registry is read, not per decision.
+    pub fn publish_region(&self, registry: &gps_obs::metrics::Registry) {
+        for row in self.region() {
+            let labels = [("class", row.name.as_str())];
             registry
                 .gauge(&gps_obs::metrics::labeled(
                     "admission.region.headroom",
@@ -1122,7 +1254,7 @@ mod tests {
         for r in workload(200) {
             e.decide(r);
         }
-        assert!(e.cache.len() <= 4);
+        assert!(e.memo.cache.len() <= 4);
         assert!(e.cache_stats().evictions > 0);
     }
 
@@ -1148,9 +1280,9 @@ mod tests {
         let m = rows[0].headroom;
         let mut counts = e.counts().to_vec();
         counts[0] += m;
-        assert!(e.mix_admissible(&counts));
+        assert!(e.cert.mix_admissible(&counts, &mut e.memo));
         counts[0] += 1;
-        assert!(!e.mix_admissible(&counts));
+        assert!(!e.cert.mix_admissible(&counts, &mut e.memo));
     }
 
     #[test]
@@ -1175,23 +1307,69 @@ mod tests {
             e.decide(r);
         }
         e.publish(&registry);
-        let snap = registry.snapshot();
         assert_eq!(
             registry.counter("admission.cache.hits").get(),
             e.cache_stats().hits,
             "published counter mirrors engine stats"
         );
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(k, _)| k.starts_with("admission.region.occupancy{class=")));
-        // Publishing again adds only the delta (region lookups since the
-        // last publish), never double-counts the base.
+        let gauges = |prefix: &str| {
+            registry
+                .snapshot()
+                .gauges
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .count()
+        };
+        assert_eq!(gauges("admission.sessions{class="), 3);
+        assert_eq!(
+            gauges("admission.region."),
+            0,
+            "publish runs no region pass"
+        );
+        // The region gauges come from publish_region, which leaves the
+        // cache counters where the decisions left them.
+        let before = e.cache_stats();
+        e.publish_region(&registry);
+        assert_eq!(e.cache_stats(), before);
+        assert_eq!(gauges("admission.region.occupancy{class="), 3);
+        assert_eq!(gauges("admission.region.headroom{class="), 3);
+        // Publishing again adds only the delta (lookups of the decisions
+        // since the last publish), never double-counts the base.
+        for r in workload(20) {
+            e.decide(r);
+        }
         e.publish(&registry);
         assert_eq!(
             registry.counter("admission.cache.hits").get(),
             e.cache_stats().hits
         );
+        assert_eq!(registry.counter("admission.decisions").get(), 70);
+    }
+
+    #[test]
+    fn region_reads_leave_engine_state_unchanged() {
+        // Reads interleaved with a decision stream (large cache, and one
+        // small enough to evict) must leave the cache counters, the θ
+        // hints and every later decision as they are without the reads.
+        let reqs = workload(120);
+        for backend in [CertBackend::Rpps, CertBackend::EffectiveBandwidth] {
+            for cap in [1 << 16, 8] {
+                let registry = gps_obs::metrics::Registry::new();
+                let mut read = engine(backend, cap);
+                let mut plain = engine(backend, cap);
+                for r in &reqs {
+                    let stats = read.cache_stats();
+                    let hints = read.memo.hints.seeds.clone();
+                    let rows = read.region();
+                    read.publish_region(&registry);
+                    assert_eq!(read.cache_stats(), stats, "{backend:?} cap {cap}");
+                    assert_eq!(read.memo.hints.seeds, hints, "{backend:?} cap {cap}");
+                    assert_eq!(read.region(), rows, "a second read differs");
+                    assert_eq!(read.decide(*r).line(), plain.decide(*r).line());
+                    assert_eq!(read.cache_stats(), plain.cache_stats());
+                }
+            }
+        }
     }
 
     #[test]

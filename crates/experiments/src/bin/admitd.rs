@@ -23,42 +23,16 @@
 //! decision-relevant fields (`admitd access digest`), another surface
 //! `verify.sh` compares across the scheduling matrix.
 
-use gps_analysis::{AdmissionEngine, CertBackend, ClassSpec, Decision, QosTarget, RequestKind};
-use gps_ebb::{EbbProcess, TimeModel};
+use gps_analysis::{AdmissionEngine, CertBackend};
+use gps_ebb::TimeModel;
+use gps_experiments::admitd::{collect, default_classes, routes};
 use gps_experiments::service::service_json;
 use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
-use gps_obs::json::{fmt_f64, Json};
+use gps_obs::json::Json;
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, HttpRequest, RequestHandler, RouteResponse, SloSpec, TelemetryConfig};
+use gps_obs::{Exporter, SloSpec, TelemetryConfig};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
-
-/// The service's default traffic classes: voice/video/data-like mixes
-/// scaled so one unit-rate server carries a few dozen sessions.
-fn default_classes() -> Vec<ClassSpec> {
-    vec![
-        ClassSpec::new(
-            "voice",
-            EbbProcess::new(0.02, 1.0, 17.4),
-            QosTarget::new(5.0, 1e-6),
-        ),
-        ClassSpec::new(
-            "video",
-            EbbProcess::new(0.08, 2.0, 6.0),
-            QosTarget::new(10.0, 1e-4),
-        ),
-        ClassSpec::new(
-            "data",
-            EbbProcess::new(0.05, 4.0, 3.0),
-            QosTarget::new(40.0, 1e-3),
-        ),
-        ClassSpec::new(
-            "bulk",
-            EbbProcess::new(0.1, 6.0, 2.0),
-            QosTarget::new(120.0, 1e-2),
-        ),
-    ]
-}
 
 /// The service's default SLOs (`--slo`): overall availability plus an
 /// `/admit` latency objective generous enough that only a genuinely
@@ -75,126 +49,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-fn decision_json(d: &Decision) -> String {
-    let kind = match d.kind {
-        RequestKind::Admit => "admit",
-        RequestKind::Depart => "depart",
-    };
-    let cert = match &d.certificate {
-        Some(c) => format!(
-            "{{\"prefactor\": {}, \"decay\": {}}}",
-            fmt_f64(c.prefactor),
-            fmt_f64(c.decay)
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"seq\": {}, \"class\": {}, \"kind\": \"{kind}\", \"accepted\": {}, \
-         \"sessions\": {}, \"load\": {}, \"load_bits\": \"{:016x}\", \"certificate\": {cert}}}",
-        d.seq,
-        d.class,
-        d.accepted,
-        d.sessions,
-        fmt_f64(d.load),
-        d.load.to_bits()
-    )
-}
-
-fn region_json(engine: &mut AdmissionEngine) -> String {
-    let capacity = engine.rate();
-    let load = engine.load();
-    let sessions = engine.sessions();
-    let stats = engine.stats();
-    let cache = engine.cache_stats();
-    let rows: Vec<String> = engine
-        .region()
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"class\": {}, \"name\": \"{}\", \"sessions\": {}, \
-                 \"headroom\": {}, \"occupancy\": {}}}",
-                r.class,
-                r.name,
-                r.sessions,
-                r.headroom,
-                fmt_f64(r.occupancy)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"capacity\": {}, \"load\": {}, \"sessions\": {sessions}, \
-         \"decisions\": {}, \"admitted\": {}, \"rejected\": {}, \"departed\": {}, \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}, \
-         \"classes\": [{}]}}",
-        fmt_f64(capacity),
-        fmt_f64(load),
-        stats.decisions,
-        stats.admitted,
-        stats.rejected,
-        stats.departed,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        rows.join(", ")
-    )
-}
-
-/// Parses `class=K` from an `/admit?class=K`-style query string.
-fn class_param(query: Option<&str>, n_classes: usize) -> Result<usize, String> {
-    let q = query.ok_or("missing query: expected ?class=K")?;
-    let raw = q
-        .split('&')
-        .find_map(|kv| kv.strip_prefix("class="))
-        .ok_or("missing class parameter")?;
-    let k: usize = raw.parse().map_err(|_| format!("bad class {raw:?}"))?;
-    if k >= n_classes {
-        return Err(format!("class {k} out of range (have {n_classes})"));
-    }
-    Ok(k)
-}
-
-fn routes(engine: Arc<Mutex<AdmissionEngine>>, registry: Registry) -> RequestHandler {
-    Arc::new(move |req: &HttpRequest| {
-        // Every endpoint here is a GET: a POST is refused before it can
-        // reach the engine.
-        if req.method != "GET" {
-            return Some(RouteResponse::text(405, "GET only\n"));
-        }
-        let (route, query) = match req.path.split_once('?') {
-            Some((r, q)) => (r, Some(q)),
-            None => (req.path, None),
-        };
-        let op = match route {
-            "/admit" => Some(RequestKind::Admit),
-            "/depart" => Some(RequestKind::Depart),
-            "/region" => None,
-            _ => return None,
-        };
-        let mut engine = engine.lock().expect("engine poisoned");
-        let body = match op {
-            Some(kind) => {
-                let class = match class_param(query, engine.classes().len()) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        return Some(RouteResponse::json(400, format!("{{\"error\": \"{e}\"}}")))
-                    }
-                };
-                let d = match kind {
-                    RequestKind::Admit => engine.admit(class),
-                    RequestKind::Depart => engine.depart(class),
-                };
-                engine.publish(&registry);
-                decision_json(&d)
-            }
-            None => {
-                engine.publish(&registry);
-                region_json(&mut engine)
-            }
-        };
-        Some(RouteResponse::json(200, body))
-    })
 }
 
 /// FNV-1a over response bodies — the determinism surface `verify.sh`
@@ -283,14 +137,16 @@ fn main() {
         ),
         None => AdmissionEngine::new(default_classes(), rate, TimeModel::Discrete, backend),
     };
-    let mut engine = engine.unwrap_or_else(|e| {
+    let engine = engine.unwrap_or_else(|e| {
         eprintln!("admitd: {e}");
         std::process::exit(2);
     });
     let n_classes = engine.classes().len();
-    let registry = Registry::new();
-    engine.publish(&registry); // expose gauges before the first request
     let engine = Arc::new(Mutex::new(engine));
+    // Requests only decide; the admission metrics are mirrored when the
+    // registry is read.
+    let registry = Registry::new();
+    collect(&registry, Arc::clone(&engine));
 
     let slo_enabled = args.iter().any(|a| a == "--slo");
     let mut telemetry = TelemetryConfig::from_env("admitd");
@@ -300,7 +156,7 @@ fn main() {
     let exporter = Exporter::serve(
         &addr,
         registry.clone(),
-        Some(routes(Arc::clone(&engine), registry.clone())),
+        Some(routes(Arc::clone(&engine))),
         Some(telemetry),
     )
     .unwrap_or_else(|e| {
@@ -351,6 +207,10 @@ fn main() {
     let (status, region) = client.get("/region").expect("region request");
     assert_eq!(status, 200);
     fnv1a_update(&mut digest, &region);
+    // Reads leave the engine as they found it: a second /region is the
+    // same document, cache counters included.
+    let (_, again) = client.get("/region").expect("region request");
+    assert_eq!(again, region, "a second /region read differs");
     // `--out-region PATH` persists the final /region body (deterministic
     // for a fixed command line) so the dashboard can render the admission
     // panel from committed results.
@@ -365,6 +225,18 @@ fn main() {
     }
     let (status, metrics) = client.get("/metrics").expect("metrics request");
     assert_eq!(status, 200);
+    let cache_lines = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("admission_cache_"))
+            .map(str::to_string)
+            .collect()
+    };
+    let (_, rescrape) = client.get("/metrics").expect("metrics request");
+    assert_eq!(
+        cache_lines(&rescrape),
+        cache_lines(&metrics),
+        "a second /metrics scrape moved the admission_cache_* values"
+    );
     assert!(
         metrics.contains("admission_cache_hits_total"),
         "metrics exposition missing admission cache counters"

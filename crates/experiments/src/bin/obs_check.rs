@@ -56,11 +56,13 @@ fn admission_service_checks() -> bool {
         1 << 12,
     )
     .expect("engine builds");
-    let registry = Registry::new();
     let engine = Arc::new(Mutex::new(engine));
+    // Requests only decide; the admission metrics are mirrored when
+    // /metrics is read, as in admitd.
+    let registry = Registry::new();
+    gps_experiments::admitd::collect(&registry, Arc::clone(&engine));
     let handler: RequestHandler = {
         let engine = Arc::clone(&engine);
-        let registry = registry.clone();
         Arc::new(move |req: &HttpRequest| {
             let (route, query) = match req.path.split_once('?') {
                 Some((r, q)) => (r, Some(q)),
@@ -101,7 +103,6 @@ fn admission_service_checks() -> bool {
                 }
                 _ => return None,
             };
-            engine.publish(&registry);
             Some(RouteResponse::json(200, body))
         })
     };
@@ -193,7 +194,7 @@ fn admission_service_checks() -> bool {
         Err(e) => ok = check("/region", false, &e.to_string()),
     }
     // All of the above rode one connection; the exposition must show the
-    // admission counters and gauges the engine published.
+    // admission counters and gauges, mirrored from the engine as it is read.
     match client.get("/metrics") {
         Ok((status, body)) => {
             ok &= check(

@@ -15,10 +15,13 @@
 //!   distributed run;
 //! * [`service`] — the shared `--out-service` service-health snapshot
 //!   (SLO statuses + per-route telemetry) the daemons persist;
+//! * [`admitd`] — `admitd`'s routes, default classes and read-time
+//!   metrics collector;
 //! * [`init_obs`]/[`finish_obs`] — the observability bracket every binary
 //!   runs inside: journal sink selection, then metrics snapshot + run
 //!   manifest into `results/`.
 
+pub mod admitd;
 pub mod csv;
 pub mod paper;
 pub mod plot;

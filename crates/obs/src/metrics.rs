@@ -13,6 +13,12 @@
 //! consumers strip before comparing (see [`Snapshot::to_json_without_spans`]).
 //! The `"histograms"` and `"summaries"` keys are kept as empty objects so
 //! the committed metrics files keep their bytes.
+//!
+//! A metric that is costly to compute and only worth knowing when someone
+//! looks can be filled at read time instead of on every update: a
+//! registry holds one collector ([`Registry::set_collector`]) that
+//! [`Registry::snapshot`] runs first, so every reader (`/metrics`,
+//! `/metrics.json`, a persisted snapshot) sees fresh values.
 
 use crate::hdrhist::{HdrHandle, HdrHistogram, HdrSnapshot};
 use crate::json::{fmt_f64, write_escaped};
@@ -132,10 +138,21 @@ struct Inner {
     spans: BTreeMap<String, SpanStats>,
 }
 
+/// The read-time hook of a [`Registry`]; see [`Registry::set_collector`].
+#[derive(Clone)]
+struct Collector(Arc<dyn Fn(&Registry) + Send + Sync>);
+
+impl std::fmt::Debug for Collector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Collector")
+    }
+}
+
 /// A registry of named metrics. Cloning shares the underlying storage.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Arc<Mutex<Inner>>,
+    collector: Arc<Mutex<Option<Collector>>>,
 }
 
 impl Registry {
@@ -213,8 +230,22 @@ impl Registry {
         g.spans.clear();
     }
 
-    /// Takes a point-in-time copy of every metric.
+    /// Sets the collector [`snapshot`](Self::snapshot) runs before it
+    /// copies anything, replacing any earlier one. It gets the registry
+    /// and typically sets gauges and adds counters there. It runs outside
+    /// the registry's lock, so it may register and update metrics, but it
+    /// must not take a snapshot itself.
+    pub fn set_collector(&self, collect: impl Fn(&Registry) + Send + Sync + 'static) {
+        *self.collector.lock().expect("registry poisoned") = Some(Collector(Arc::new(collect)));
+    }
+
+    /// Runs the collector, if one is set, then takes a point-in-time copy
+    /// of every metric.
     pub fn snapshot(&self) -> Snapshot {
+        let collector = self.collector.lock().expect("registry poisoned").clone();
+        if let Some(Collector(collect)) = collector {
+            collect(self);
+        }
         let g = self.inner.lock().expect("registry poisoned");
         Snapshot {
             counters: g
@@ -453,6 +484,23 @@ mod tests {
         assert_eq!(snap.hdr[0].1.total, 0);
         h.observe(7);
         assert_eq!(r.snapshot().hdr[0].1.total, 1);
+    }
+
+    #[test]
+    fn collector_runs_before_every_snapshot() {
+        let r = Registry::new();
+        let reads = r.counter("reads");
+        r.set_collector(move |reg| {
+            reads.inc();
+            reg.gauge("fresh").set(reads.get() as f64);
+        });
+        assert_eq!(r.snapshot().gauges, vec![("fresh".to_string(), 1.0)]);
+        let snap = r.clone().snapshot(); // clones share the collector
+        assert_eq!(snap.counters, vec![("reads".to_string(), 2)]);
+        assert_eq!(snap.gauges, vec![("fresh".to_string(), 2.0)]);
+        r.set_collector(|_| {}); // replaces, never stacks
+        r.snapshot();
+        assert_eq!(r.counter("reads").get(), 2);
     }
 
     #[test]

@@ -84,11 +84,13 @@ fi
 # The digests are also pinned, not only compared run against run: a
 # change to the decision stream, the /region body, or the access-log
 # projection of `--replay 2000 --seed 7` must update these values on
-# purpose.
+# purpose. The /region body's cache block counts decision lookups only
+# (reads never touch the cache), and the replay itself asserts that a
+# second /region and a second /metrics scrape read the same values.
 for pinned in "a.txt:admitd decisions digest: 5d52172c47104cae" \
-    "a.txt:admitd digest: 4b6b7e124659bb68" \
+    "a.txt:admitd digest: 413d338617a9cb0c" \
     "a.txt:admitd access digest: b0599ce1326f4d92" \
-    "c.txt:admitd digest: 0320642a2dd8e52f"; do
+    "c.txt:admitd digest: 639d134fefe8a086"; do
     if ! grep -qxF "${pinned#*:}" "$adm/${pinned%%:*}"; then
         echo "verify.sh: admitd replay ${pinned%%:*} lacks pinned line '${pinned#*:}'" >&2
         exit 1
