@@ -61,6 +61,7 @@ use crate::admission::QosTarget;
 use crate::theta_opt::try_optimize_tail_seeded;
 use gps_ebb::mgf::optimal_xi;
 use gps_ebb::{delta_mgf_log, DeltaTailBound, EbbProcess, TailBound, TimeModel};
+use gps_obs::{fnv1a, FNV_OFFSET};
 use std::collections::{BTreeMap, HashMap};
 
 /// Default cache capacity when `GPS_ADMIT_CACHE_CAP` is unset.
@@ -72,19 +73,7 @@ pub const DEFAULT_CACHE_CAP: usize = 65_536;
 const MAX_LOG_PREFACTOR: f64 = 700.0;
 
 // ---------------------------------------------------------------------
-// Fingerprints (FNV-1a, the sim::supervise scheme)
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+// Fingerprints (FNV-1a)
 
 /// FNV-1a fingerprint of a traffic class: source parameters, QoS target,
 /// and time model, every float by its exact bit pattern.
@@ -105,7 +94,7 @@ fn fingerprint_class(source: EbbProcess, target: QosTarget, model: TimeModel) ->
         TimeModel::Discrete => s.push_str("model:d;"),
         TimeModel::Continuous { xi } => s.push_str(&format!("model:c{:016x};", xi.to_bits())),
     }
-    fnv1a(&s)
+    fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
 // ---------------------------------------------------------------------

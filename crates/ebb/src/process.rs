@@ -88,6 +88,13 @@ impl fmt::Display for TailBound {
     }
 }
 
+/// The same curve in the bound monitor's two-float form.
+impl From<TailBound> for gps_obs::BoundCurve {
+    fn from(b: TailBound) -> Self {
+        gps_obs::BoundCurve::new(b.prefactor, b.decay)
+    }
+}
+
 /// A (ρ, Λ, α)-E.B.B. arrival process (paper Eq. 2):
 /// `Pr{A(τ,t) >= ρ(t-τ) + x} <= Λ e^{-α x}`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -30,7 +30,7 @@ use gps_experiments::service::service_json;
 use gps_obs::exporter::{HttpClient, MAX_REQUESTS_PER_CONN};
 use gps_obs::json::Json;
 use gps_obs::metrics::Registry;
-use gps_obs::{Exporter, SloSpec, TelemetryConfig};
+use gps_obs::{fnv1a, Exporter, SloSpec, TelemetryConfig, FNV_OFFSET};
 use gps_stats::{RngCore, Xoshiro256pp};
 use std::sync::{Arc, Mutex};
 
@@ -49,15 +49,6 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// FNV-1a over response bodies — the determinism surface `verify.sh`
-/// compares across thread matrices.
-fn fnv1a_update(h: &mut u64, text: &str) {
-    for b in text.as_bytes() {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 /// Order-insensitive FNV-1a digest of the access log's *decision* lines
@@ -100,12 +91,9 @@ fn access_digest(text: &str) -> Result<u64, String> {
         ));
     }
     lines.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for l in &lines {
-        fnv1a_update(&mut h, l);
-        fnv1a_update(&mut h, "\n");
-    }
-    Ok(h)
+    Ok(lines
+        .iter()
+        .fold(FNV_OFFSET, |h, l| fnv1a(fnv1a(h, l.as_bytes()), b"\n")))
 }
 
 fn main() {
@@ -177,7 +165,7 @@ fn main() {
     // request stream, persistent connections (reconnect at the server's
     // per-connection budget), response-body digest for verify.sh.
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     let mut accepted = 0usize;
     let started = std::time::Instant::now();
     let mut client = HttpClient::connect(local).expect("connect to own exporter");
@@ -196,8 +184,7 @@ fn main() {
         if body.contains("\"accepted\": true") {
             accepted += 1;
         }
-        fnv1a_update(&mut digest, &body);
-        fnv1a_update(&mut digest, "\n");
+        digest = fnv1a(fnv1a(digest, body.as_bytes()), b"\n");
     }
     let elapsed = started.elapsed();
     // The decision stream alone is invariant under cache capacity and
@@ -206,7 +193,7 @@ fn main() {
     let decisions_digest = digest;
     let (status, region) = client.get("/region").expect("region request");
     assert_eq!(status, 200);
-    fnv1a_update(&mut digest, &region);
+    digest = fnv1a(digest, region.as_bytes());
     // Reads leave the engine as they found it: a second /region is the
     // same document, cache counters included.
     let (_, again) = client.get("/region").expect("region request");

@@ -35,10 +35,12 @@
 //!   at `/slo` and persisted via `--out-service` for the dashboard's
 //!   service panel.
 
+use gps_ebb::TailBound;
 use gps_experiments::scenarios::{resolve, write_campaign_artifacts, CampaignScenario};
 use gps_experiments::service::service_json;
 use gps_experiments::{finish_obs, init_obs, results_dir};
 use gps_obs::exporter::HttpClient;
+use gps_obs::monitor::{env_tolerance, verdict};
 use gps_obs::{
     Exporter, HttpRequest, RequestHandler, RouteResponse, RunManifest, SloSet, SloSpec,
     TelemetryConfig,
@@ -47,6 +49,7 @@ use gps_sim::orchestrate::{
     run_worker, CampaignSpec, Coordinator, CoordinatorConfig, LocalTransport, WorkerOptions,
 };
 use gps_sim::runner::SingleNodeRunReport;
+use gps_stats::BinnedCcdf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -139,23 +142,16 @@ fn dispatch(
 /// Prints the certificate check and (for `overload`) the shed summary,
 /// mirroring what the dashboard's overload panel renders.
 fn print_summary(scenario: &CampaignScenario, report: &SingleNodeRunReport) {
+    let tolerance = env_tolerance();
+    let judge = |bound: TailBound, ccdf: &BinnedCcdf, samples: u64| {
+        verdict(bound.into(), &ccdf.series(), samples, 0.0, tolerance).violations
+    };
     for (i, session) in report.sessions.iter().enumerate() {
         let Some(bounds) = scenario.bounds.get(i).copied().flatten() else {
             continue;
         };
-        let se = |p: f64| (p * (1.0 - p) / report.measured_slots as f64).sqrt();
-        let viol_q = session
-            .backlog
-            .series()
-            .into_iter()
-            .filter(|&(x, p)| p > bounds.backlog.tail(x) + 3.0 * se(p))
-            .count();
-        let viol_d = session
-            .delay
-            .series()
-            .into_iter()
-            .filter(|&(x, p)| p > bounds.delay.tail(x) + 3.0 * se(p))
-            .count();
+        let viol_q = judge(bounds.backlog, &session.backlog, report.measured_slots);
+        let viol_d = judge(bounds.delay, &session.delay, session.delay.len());
         println!(
             "session {}: g = {:.4}, throughput {:.4}, bound violations: backlog {viol_q}, delay {viol_d} (expect 0, 0)",
             i + 1,

@@ -10,6 +10,7 @@ use gps_analysis::RppsNetworkBounds;
 use gps_experiments::csv::CsvWriter;
 use gps_experiments::paper::{characterize, figure2_network, table1_sources, ParamSet};
 use gps_experiments::{finish_obs, init_obs, measure_slots_or};
+use gps_obs::monitor::{env_tolerance, verdict};
 use gps_obs::RunManifest;
 use gps_sim::packet_network::run_packet_network;
 use gps_sim::Packet;
@@ -73,20 +74,19 @@ fn main() {
         let (_, d_bound) = bounds.paper_fig3_bounds(i);
         let allowance = hops * l_max; // one max packet of slack per hop
         let n = ccdf.len() as u64;
-        let mut violations = 0usize;
         println!("\nsession {} ({} packets):", i + 1, n);
         println!("{:>6} {:>14} {:>14}", "d", "empirical", "bound(d-slack)");
-        for d in (0..=60).step_by(6) {
-            let d = d as f64;
-            let emp = ccdf.tail(d);
+        let series: Vec<(f64, f64)> = (0..=60)
+            .step_by(6)
+            .map(|d| (d as f64, ccdf.tail(d as f64)))
+            .collect();
+        for &(d, emp) in &series {
             let b = d_bound.tail((d - allowance).max(0.0));
             println!("{d:>6.0} {emp:>14.6e} {b:>14.6e}");
-            if emp > b + 3.0 * (emp * (1.0 - emp) / n as f64).sqrt() {
-                violations += 1;
-            }
             csv.row(&[(i + 1) as f64, d, emp, b]).expect("row");
         }
-        println!("violations: {violations} (expect 0)");
+        let v = verdict(d_bound.into(), &series, n, allowance, env_tolerance());
+        println!("violations: {} (expect 0)", v.violations);
     }
     let rows = csv.rows();
     let path = csv.finish().expect("finish");

@@ -21,69 +21,10 @@ use gps_ebb::{DeltaTailBound, TimeModel};
 use gps_experiments::csv::CsvWriter;
 use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{finish_obs, init_obs, measure_slots_or};
-use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SeriesKind, SessionCurves};
-use gps_sim::RateFluidGps;
+use gps_obs::monitor::{env_tolerance, verdict};
+use gps_obs::{BoundMonitor, RunManifest, SeriesKind, SessionCurves};
+use gps_sim::ct_runner::{run_ct_fluid, CtRunConfig, CtRunReport};
 use gps_sources::CtmcFluidSource;
-use gps_stats::rng::SeedSequence;
-use gps_stats::BinnedCcdf;
-
-/// One continuous-time replication: exact fluid simulation over
-/// `horizon` time units with a derived seed, sampled every `sample_dt`
-/// after `warmup`. Returns the per-session backlog CCDFs and the sample
-/// count.
-fn simulate_ct(
-    sources: &[CtmcFluidSource],
-    rhos: &[f64],
-    seed: u64,
-    horizon: f64,
-    sample_dt: f64,
-    warmup: f64,
-) -> (Vec<BinnedCcdf>, u64) {
-    let n = sources.len();
-    let seeds = SeedSequence::new(seed);
-    let mut sim = RateFluidGps::new(rhos.to_vec(), 1.0);
-    let mut rngs: Vec<_> = (0..n).map(|i| seeds.rng("ct", i as u64)).collect();
-    let mut srcs = sources.to_vec();
-    // Per-source event streams: (next change time, current rate).
-    let mut next_change = vec![0.0f64; n];
-    for i in 0..n {
-        srcs[i].reset_stationary(&mut rngs[i]);
-        // First segment starts at t = 0.
-        let (dur, rate) = srcs[i].next_segment(&mut rngs[i]);
-        sim.set_input_rate(0.0, i, rate);
-        next_change[i] = dur;
-    }
-    let mut ccdfs: Vec<BinnedCcdf> = (0..n)
-        .map(|_| BinnedCcdf::new((0..60).map(|k| k as f64 * 0.25).collect()))
-        .collect();
-    let mut t_sample = warmup;
-    let mut samples = 0u64;
-    // Merged chronological loop: rate-change events and sampling instants
-    // are applied in global time order.
-    loop {
-        let (i_min, &t_event) = next_change
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-            .expect("nonempty");
-        // Take all samples due before the next rate change.
-        while t_sample <= t_event.min(horizon) {
-            sim.advance_to(t_sample);
-            for i in 0..n {
-                ccdfs[i].push(sim.backlog(i));
-            }
-            samples += 1;
-            t_sample += sample_dt;
-        }
-        if t_event >= horizon || t_sample >= horizon {
-            break;
-        }
-        let (dur, rate) = srcs[i_min].next_segment(&mut rngs[i_min]);
-        sim.set_input_rate(t_event, i_min, rate);
-        next_change[i_min] = t_event + dur;
-    }
-    (ccdfs, samples)
-}
 
 fn main() {
     let quiet = std::env::args().any(|a| a == "--quiet");
@@ -123,7 +64,16 @@ fn main() {
     );
     let reps: Vec<u64> = (0..replications).collect();
     let results = gps_par::par_map(&reps, |&r| {
-        simulate_ct(&sources, &rhos, 0xC047 + r, horizon, sample_dt, 1000.0)
+        let cfg = CtRunConfig {
+            phis: rhos.clone(),
+            capacity: 1.0,
+            horizon,
+            warmup: 1000.0,
+            sample_dt,
+            seed: 0xC047 + r,
+            backlog_grid: (0..60).map(|k| k as f64 * 0.25).collect(),
+        };
+        run_ct_fluid(&sources, &cfg)
     });
     // Online monitor against the direct CT martingale bound — the
     // tightest curve this study evaluates, so it is the alarm threshold.
@@ -132,35 +82,27 @@ fn main() {
             .map(|i| {
                 let direct = sources[i].queue_tail_bound(gs[i]).expect("stable");
                 SessionCurves {
-                    backlog: Some(BoundCurve::new(direct.prefactor, direct.decay)),
-                    delay: None,
-                    delay_shift: 0.0,
+                    backlog: Some(direct.into()),
+                    ..Default::default()
                 }
             })
             .collect(),
     );
-    let check_fold = |ccdfs: &[BinnedCcdf], samples: u64, fold: u64| {
-        for (i, c) in ccdfs.iter().enumerate() {
-            monitor.check_series(
-                gps_obs::metrics(),
-                i,
-                SeriesKind::Backlog,
-                &c.series(),
-                samples,
-                fold,
-            );
-        }
-    };
     // Merge in replication order, checking the pooled tails per fold.
-    let (mut ccdfs, mut samples) = results[0].clone();
-    check_fold(&ccdfs, samples, 0);
-    for (fold, (rep_ccdfs, rep_samples)) in results[1..].iter().enumerate() {
-        for (acc, c) in ccdfs.iter_mut().zip(rep_ccdfs) {
-            acc.merge(c);
+    let mut pooled = results[0].clone();
+    for (fold, rep) in results.iter().enumerate() {
+        if fold > 0 {
+            for (acc, c) in pooled.backlog.iter_mut().zip(&rep.backlog) {
+                acc.merge(c);
+            }
+            pooled.samples += rep.samples;
         }
-        samples += rep_samples;
-        check_fold(&ccdfs, samples, fold as u64 + 1);
+        for (i, c) in pooled.backlog.iter().enumerate() {
+            let (registry, kind, series) = (gps_obs::metrics(), SeriesKind::Backlog, c.series());
+            monitor.check_series(registry, i, kind, &series, pooled.samples, fold as u64);
+        }
     }
+    let CtRunReport { backlog, samples } = pooled;
 
     let mut csv = CsvWriter::create(
         "validate_continuous",
@@ -184,7 +126,6 @@ fn main() {
             ebbs[i],
             d.optimal_xi()
         );
-        let mut violations = 0usize;
         let mut curves = vec![
             Curve {
                 label: format!("e{}", i + 1),
@@ -199,13 +140,8 @@ fn main() {
                 points: vec![],
             },
         ];
-        for (q, p) in ccdfs[i].series() {
-            let se = (p * (1.0 - p) / samples as f64).sqrt();
-            for b in [b_xi1.tail(q), b_opt.tail(q), direct.tail(q)] {
-                if p > b + 3.0 * se {
-                    violations += 1;
-                }
-            }
+        let series = backlog[i].series();
+        for &(q, p) in &series {
             curves[0].points.push((q, p));
             curves[1].points.push((q, b_opt.tail(q)));
             curves[2].points.push((q, direct.tail(q)));
@@ -219,6 +155,10 @@ fn main() {
             ])
             .expect("row");
         }
+        let violations: u64 = [b_xi1, b_opt, direct]
+            .into_iter()
+            .map(|b| verdict(b.into(), &series, samples, 0.0, env_tolerance()).violations)
+            .sum();
         println!("  violations (ξ=1 / ξ* / direct combined): {violations} (expect 0)");
         println!(
             "  prefactors: ξ=1 -> {:.2}, ξ* -> {:.2}, direct -> {:.2}",

@@ -26,7 +26,7 @@ use gps_experiments::csv::CsvWriter;
 use gps_experiments::paper::{characterize, figure2_network, table1_sources, ParamSet};
 use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{checkpoint_path, finish_obs, init_obs, measure_slots_or, resume_flag};
-use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SessionCurves};
+use gps_obs::{BoundMonitor, RunManifest, SeriesKind, SessionCurves};
 use gps_sim::runner::{merge_network_reports, NetworkRunConfig};
 use gps_sim::supervise::{run_campaign, Network, PanicInjection, Supervisor};
 use gps_sources::lnt94::queue_tail_bound;
@@ -72,8 +72,8 @@ fn main() {
         fig3_curves
             .iter()
             .map(|(q15, d15)| SessionCurves {
-                backlog: Some(BoundCurve::new(q15.prefactor, q15.decay)),
-                delay: Some(BoundCurve::new(d15.prefactor, d15.decay)),
+                backlog: Some((*q15).into()),
+                delay: Some((*d15).into()),
                 delay_shift: 1.0,
             })
             .collect(),
@@ -126,26 +126,19 @@ fn main() {
     )
     .expect("csv");
 
-    let total = replications * slots_each;
-    let fig3 = fig3_curves;
     for i in 0..4 {
-        let (q15, d15) = fig3[i];
+        let (q15, d15) = fig3_curves[i];
         let g = bounds.g_net(i);
         let improved_q = queue_tail_bound(markov[i].as_markov(), g).expect("stable");
         let improved_d = improved_q.delay_from_backlog(g);
-        let (q_emp, d_emp) = (&merged.backlog[i], &merged.delay[i]);
+        let (q_series, d_series) = (merged.backlog[i].series(), merged.delay[i].series());
 
-        let mut viol_q = 0usize;
-        for (x, p) in q_emp.series() {
-            if p > q15.tail(x) + 3.0 * se(p, total) {
-                viol_q += 1;
-            }
+        for &(x, p) in &q_series {
             csv.row(&[(i + 1) as f64, 0.0, x, p, q15.tail(x), improved_q.tail(x)])
                 .expect("row");
         }
         // Delay: shift the empirical one slot left to remove the
         // store-and-forward pipeline slot before comparing.
-        let mut viol_d = 0usize;
         let mut curves = vec![
             Curve {
                 label: format!("e{}", i + 1),
@@ -160,18 +153,21 @@ fn main() {
                 points: vec![],
             },
         ];
-        for (x, p) in d_emp.series() {
+        for &(x, p) in &d_series {
             let x_adj = (x - 1.0).max(0.0);
             let b = d15.tail(x_adj);
             let imp = improved_d.tail(x_adj);
-            if p > b + 3.0 * se(p, total) {
-                viol_d += 1;
-            }
             curves[0].points.push((x, p));
             curves[1].points.push((x, b));
             curves[2].points.push((x, imp));
             csv.row(&[(i + 1) as f64, 1.0, x, p, b, imp]).expect("row");
         }
+        let viol_q = monitor
+            .judge(i, SeriesKind::Backlog, &q_series, merged.measured_slots)
+            .violations;
+        let viol_d = monitor
+            .judge(i, SeriesKind::Delay, &d_series, merged.delay[i].len())
+            .violations;
         println!(
             "session {}: g_net {:.4}; violations: backlog {}, delay {} (expect 0, 0)",
             i + 1,
@@ -204,8 +200,4 @@ fn main() {
         .param("warmup", 50_000u64);
     manifest.output("validate_network.csv", rows);
     finish_obs(obs, manifest).expect("obs teardown");
-}
-
-fn se(p: f64, n: u64) -> f64 {
-    (p * (1.0 - p) / n as f64).sqrt()
 }

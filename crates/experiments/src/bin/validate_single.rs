@@ -29,7 +29,7 @@ use gps_experiments::csv::CsvWriter;
 use gps_experiments::paper::{characterize, table1_sources, ParamSet};
 use gps_experiments::plot::{ascii_log_plot, Curve};
 use gps_experiments::{checkpoint_path, finish_obs, init_obs, measure_slots_or, resume_flag};
-use gps_obs::{BoundCurve, BoundMonitor, RunManifest, SessionCurves};
+use gps_obs::{BoundMonitor, RunManifest, SeriesKind, SessionCurves};
 use gps_sim::runner::{merge_single_node_reports, SingleNodeRunConfig};
 use gps_sim::supervise::{run_campaign, PanicInjection, SingleNode, Supervisor};
 use gps_sources::lnt94::queue_tail_bound;
@@ -73,8 +73,8 @@ fn main() {
                 let g = assignment.guaranteed_rate(i);
                 let (q, d) = theorem10(sessions[i], g, TimeModel::Discrete);
                 SessionCurves {
-                    backlog: Some(BoundCurve::new(q.prefactor, q.decay)),
-                    delay: Some(BoundCurve::new(d.prefactor, d.decay)),
+                    backlog: Some(q.into()),
+                    delay: Some(d.into()),
                     delay_shift: 0.0,
                 }
             })
@@ -136,7 +136,8 @@ fn main() {
         let improved_d = improved_q.delay_from_backlog(g);
 
         println!("\nsession {} (g = {:.4}):", i + 1, g);
-        let mut viol_q = 0usize;
+        let session = &report.sessions[i];
+        let (q_series, d_series) = (session.backlog.series(), session.delay.series());
         let mut curves_q = vec![
             Curve {
                 label: format!("e{}", i + 1),
@@ -151,32 +152,29 @@ fn main() {
                 points: vec![],
             },
         ];
-        for (x, p) in report.sessions[i].backlog.series() {
+        for &(x, p) in &q_series {
             let b = q_bound.tail(x);
             let imp = improved_q.tail(x);
-            if p > b + 3.0 * binom_se(p, report.measured_slots) {
-                viol_q += 1;
-            }
             curves_q[0].points.push((x, p));
             curves_q[1].points.push((x, b));
             curves_q[2].points.push((x, imp));
             csv.row(&[(i + 1) as f64, 0.0, x, p, b, imp]).expect("row");
         }
-        let mut viol_d = 0usize;
-        for (x, p) in report.sessions[i].delay.series() {
+        for &(x, p) in &d_series {
             let b = d_bound.tail(x);
             let imp = improved_d.tail(x);
-            if p > b + 3.0 * binom_se(p, report.measured_slots) {
-                viol_d += 1;
-            }
             csv.row(&[(i + 1) as f64, 1.0, x, p, b, imp]).expect("row");
         }
+        let viol_q = monitor
+            .judge(i, SeriesKind::Backlog, &q_series, report.measured_slots)
+            .violations;
+        let viol_d = monitor
+            .judge(i, SeriesKind::Delay, &d_series, session.delay.len())
+            .violations;
         println!("  bound violations: backlog {viol_q}, delay {viol_d} (expect 0, 0)");
 
         // Empirical decay vs analytical.
-        let emp_series: Vec<(f64, f64)> = report.sessions[i]
-            .backlog
-            .series()
+        let emp_series: Vec<(f64, f64)> = q_series
             .into_iter()
             .filter(|&(_, p)| p > 0.0 && p < 0.5)
             .collect();
@@ -212,8 +210,4 @@ fn main() {
         .param("slots_each", slots_each);
     manifest.output("validate_single.csv", rows);
     finish_obs(obs, manifest).expect("obs teardown");
-}
-
-fn binom_se(p: f64, n: u64) -> f64 {
-    (p * (1.0 - p) / n as f64).sqrt()
 }

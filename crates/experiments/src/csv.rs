@@ -46,19 +46,6 @@ impl CsvWriter {
         writeln!(self.out, "{}", line.join(","))
     }
 
-    /// Writes a row with a leading string label.
-    pub fn labeled_row(&mut self, label: &str, cells: &[f64]) -> std::io::Result<()> {
-        assert_eq!(
-            cells.len() + 1,
-            self.columns,
-            "label plus cells must match header"
-        );
-        assert!(!label.contains(','), "labels must be comma-free");
-        let line: Vec<String> = cells.iter().map(|c| format!("{c:.10e}")).collect();
-        self.rows += 1;
-        writeln!(self.out, "{label},{}", line.join(","))
-    }
-
     /// Flushes and reports the file path.
     pub fn finish(mut self) -> std::io::Result<PathBuf> {
         self.out.flush()?;
@@ -89,18 +76,6 @@ mod tests {
         assert_eq!(lines[0], "x,y");
         assert_eq!(lines.len(), 3);
         assert!(lines[1].starts_with("1.0"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn labeled_rows() {
-        let dir = tmp_dir("labeled");
-        let mut w = CsvWriter::create_in(&dir, "_test_csv2", &["session", "value"]).unwrap();
-        w.labeled_row("s1", &[0.5]).unwrap();
-        assert_eq!(w.rows(), 1);
-        let path = w.finish().unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("s1,5.0"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,9 +19,8 @@
 //!    under the same lock, so they are strictly increasing in file
 //!    order.
 //! 4. **Deterministic modulo time.** `t_us` (microseconds since the
-//!    journal was created) is the *only* timing field; stripping it (see
-//!    [`strip_timing_line`]) from two same-seed runs must yield
-//!    byte-identical journals.
+//!    journal was created) is the *only* timing field; stripping it from
+//!    two same-seed runs must yield byte-identical journals.
 //!
 //! The sink is runtime-swappable ([`Journal::reconfigure`]): the
 //! process-global hub is frozen on first use, so benches and the exporter
@@ -407,21 +406,6 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<ParsedEvent>, String> {
     Ok(events)
 }
 
-/// Removes the `"t_us":N,` timing field from one journal line, leaving the
-/// deterministic remainder — the byte-comparison form for same-seed runs.
-pub fn strip_timing_line(line: &str) -> String {
-    match line.find(",\"t_us\":") {
-        Some(start) => {
-            let rest = &line[start + 8..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            format!("{}{}", &line[..start], &rest[end..])
-        }
-        None => line.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,16 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_timing_makes_lines_deterministic() {
-        let a = "{\"seq\":0,\"t_us\":123,\"level\":\"info\",\"component\":\"c\",\"event\":\"e\",\"fields\":{}}";
-        let b = "{\"seq\":0,\"t_us\":99999,\"level\":\"info\",\"component\":\"c\",\"event\":\"e\",\"fields\":{}}";
-        assert_eq!(strip_timing_line(a), strip_timing_line(b));
-        assert!(!strip_timing_line(a).contains("t_us"));
-        // Lines without the field pass through untouched.
-        assert_eq!(strip_timing_line("{\"a\":1}"), "{\"a\":1}");
-    }
-
-    #[test]
     fn canonical_lines_equal_across_runs() {
         let emit = |path: &Path| {
             let j = Journal::file(path, Level::Info).unwrap();
@@ -516,12 +490,18 @@ mod tests {
                 .collect()
         };
         assert_eq!(canon(&p1), canon(&p2));
-        // And the raw stripped text is byte-identical too.
+        // And the raw text without its `"t_us":N` field is byte-identical too.
         let strip = |p: &Path| -> String {
             std::fs::read_to_string(p)
                 .unwrap()
                 .lines()
-                .map(strip_timing_line)
+                .map(|line| {
+                    let (head, rest) = line.split_once(",\"t_us\":").unwrap();
+                    format!(
+                        "{head}{}",
+                        rest.trim_start_matches(|c: char| c.is_ascii_digit())
+                    )
+                })
                 .collect::<Vec<_>>()
                 .join("\n")
         };

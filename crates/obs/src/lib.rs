@@ -260,9 +260,33 @@ pub fn metrics() -> &'static Registry {
     global().metrics()
 }
 
+/// The 64-bit FNV-1a offset basis: the state a digest starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h` — the one hash behind
+/// config fingerprints, certificate-cache keys and response digests.
+/// `fnv1a(FNV_OFFSET, b)` is the plain hash of `b`.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+    }
 
     #[test]
     fn disabled_hub_is_silent_and_spans_inert() {

@@ -15,22 +15,19 @@
 //! the bound by more than finite-sample noise allows:
 //!
 //! ```text
-//! p  >  tolerance · min(1, Λ·e^{-θx})  +  sigmas · sqrt(p(1-p)/n)
+//! p  >  tolerance · min(1, Λ·e^{-θ(x - shift)})  +  3 · sqrt(p(1-p)/n)
 //! ```
 //!
-//! with `sigmas = 3` (the same 3σ binomial allowance the validation
-//! binaries print) and `tolerance` from `GPS_OBS_VIOL_TOL` (default 1 —
-//! the theorems are strict dominance claims, so no extra slack is needed
-//! beyond the standard-error term; raise it to quiet short exploratory
-//! runs). Confirmed violations emit a `warn` journal event on
-//! `obs.monitor` and bump the `obs.bound_violations` counter (plus a
-//! per-session/kind labeled counter), so a long campaign flags a broken
-//! bound the moment it appears instead of after a CSV diff.
+//! with `n` the series' own sample count and `tolerance` from
+//! `GPS_OBS_VIOL_TOL` (default 1 — the theorems are strict dominance
+//! claims; raise it to quiet short exploratory runs); points whose scaled
+//! bound is ≥ 1 never count. [`verdict`] is that rule, for the monitor
+//! and for every verdict a validation binary prints. Violations emit a
+//! `warn` journal event on `obs.monitor` and bump `obs.bound_violations`
+//! (plus a per-session/kind labeled counter), so a long campaign flags a
+//! broken bound the moment it appears instead of after a CSV diff.
 
 use crate::metrics::{labeled, Registry};
-
-/// The tolerance environment knob.
-pub const VIOLATION_TOLERANCE_ENV: &str = "GPS_OBS_VIOL_TOL";
 
 /// Standard errors of binomial noise allowed above the bound before a
 /// grid point counts as a violation.
@@ -56,6 +53,60 @@ impl BoundCurve {
     pub fn tail(&self, x: f64) -> f64 {
         (self.prefactor * (-self.decay * x).exp()).min(1.0)
     }
+}
+
+/// How one empirical series fares against one bound curve.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Verdict {
+    /// Grid points where the empirical frequency exceeds the bound.
+    pub violations: u64,
+    /// The violating point with the largest excess, as
+    /// `(x, empirical, scaled bound)`.
+    pub worst: Option<(f64, f64, f64)>,
+}
+
+/// Judges an empirical CCDF series (grid point, frequency) against
+/// `curve` evaluated at `x - shift` and scaled by `tolerance`, with
+/// `samples` observations behind each frequency — the rule in the module
+/// docs. An empty sample set passes.
+pub fn verdict(
+    curve: BoundCurve,
+    series: &[(f64, f64)],
+    samples: u64,
+    shift: f64,
+    tolerance: f64,
+) -> Verdict {
+    let mut out = Verdict::default();
+    if samples == 0 {
+        return out;
+    }
+    let mut worst_excess = f64::NEG_INFINITY;
+    for &(x, p) in series {
+        let bound = tolerance * curve.tail((x - shift).max(0.0));
+        if bound >= 1.0 {
+            continue;
+        }
+        let se = (p * (1.0 - p) / samples as f64).sqrt();
+        let excess = p - (bound + SIGMAS * se);
+        if excess > 0.0 {
+            out.violations += 1;
+            if excess > worst_excess {
+                worst_excess = excess;
+                out.worst = Some((x, p, bound));
+            }
+        }
+    }
+    out
+}
+
+/// The multiplicative tolerance from `GPS_OBS_VIOL_TOL` (default 1.0;
+/// non-finite or non-positive values fall back to the default).
+pub fn env_tolerance() -> f64 {
+    std::env::var("GPS_OBS_VIOL_TOL")
+        .ok()
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|t| t.is_finite() && *t > 0.0)
+        .unwrap_or(1.0)
 }
 
 /// The analytic curves for one session: backlog and/or delay, plus an
@@ -101,36 +152,40 @@ pub struct BoundMonitor {
 
 impl BoundMonitor {
     /// A monitor over `curves` (indexed by session), with the tolerance
-    /// taken from `GPS_OBS_VIOL_TOL` (default 1.0) and a 3σ binomial
-    /// standard-error allowance.
+    /// taken from `GPS_OBS_VIOL_TOL` ([`env_tolerance`]).
     pub fn new(curves: Vec<SessionCurves>) -> BoundMonitor {
-        let tolerance = std::env::var(VIOLATION_TOLERANCE_ENV)
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|t| t.is_finite() && *t > 0.0)
-            .unwrap_or(1.0);
-        BoundMonitor { curves, tolerance }
+        BoundMonitor {
+            curves,
+            tolerance: env_tolerance(),
+        }
     }
 
-    /// Number of sessions the monitor covers.
-    pub fn num_sessions(&self) -> usize {
-        self.curves.len()
+    /// [`verdict`] for session `session`'s `kind` curve, with that
+    /// curve's shift and this monitor's tolerance. Sessions without a
+    /// curve for `kind` pass.
+    pub fn judge(
+        &self,
+        session: usize,
+        kind: SeriesKind,
+        series: &[(f64, f64)],
+        samples: u64,
+    ) -> Verdict {
+        let Some(sc) = self.curves.get(session) else {
+            return Verdict::default();
+        };
+        let (curve, shift) = match kind {
+            SeriesKind::Backlog => (sc.backlog, 0.0),
+            SeriesKind::Delay => (sc.delay, sc.delay_shift),
+        };
+        curve.map_or_else(Verdict::default, |c| {
+            verdict(c, series, samples, shift, self.tolerance)
+        })
     }
 
-    /// The active multiplicative tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// Checks one empirical CCDF series (grid point, frequency) for
-    /// session `session` against its analytic curve, with `samples`
-    /// observations behind each frequency and `fold` identifying the
-    /// replication fold being checked. Returns the number of violating
-    /// grid points; on any violation, emits one `warn` journal event and
-    /// bumps the `obs.bound_violations` counters on `registry`.
-    ///
-    /// Sessions without a curve for `kind`, vacuous grid points
-    /// (`bound ≥ 1`), and empty sample sets are all silently fine.
+    /// [`judge`](Self::judge) plus reporting: on any violation of fold
+    /// `fold`, emits one `warn` journal event and bumps the
+    /// `obs.bound_violations` counters on `registry`. Returns the number
+    /// of violating grid points.
     pub fn check_series(
         &self,
         registry: &Registry,
@@ -140,38 +195,8 @@ impl BoundMonitor {
         samples: u64,
         fold: u64,
     ) -> u64 {
-        let Some(sc) = self.curves.get(session) else {
-            return 0;
-        };
-        let (curve, shift) = match kind {
-            SeriesKind::Backlog => (sc.backlog, 0.0),
-            SeriesKind::Delay => (sc.delay, sc.delay_shift),
-        };
-        let Some(curve) = curve else {
-            return 0;
-        };
-        if samples == 0 {
-            return 0;
-        }
-        let mut violations = 0u64;
-        // The grid point with the largest excess, reported in the event.
-        let mut worst = (0.0f64, 0.0f64, 0.0f64, f64::NEG_INFINITY);
-        for &(x, p) in series {
-            let bound = self.tolerance * curve.tail((x - shift).max(0.0));
-            if bound >= 1.0 {
-                continue;
-            }
-            let se = (p * (1.0 - p) / samples as f64).sqrt();
-            let excess = p - (bound + SIGMAS * se);
-            if excess > 0.0 {
-                violations += 1;
-                if excess > worst.3 {
-                    worst = (x, p, bound, excess);
-                }
-            }
-        }
-        if violations > 0 {
-            let (x, p, bound, _) = worst;
+        let v = self.judge(session, kind, series, samples);
+        if let Some((x, p, bound)) = v.worst {
             crate::warn(
                 "obs.monitor",
                 "bound_violation",
@@ -179,7 +204,7 @@ impl BoundMonitor {
                     ("session", session.into()),
                     ("kind", kind.as_str().into()),
                     ("fold", fold.into()),
-                    ("points", violations.into()),
+                    ("points", v.violations.into()),
                     ("x", x.into()),
                     ("empirical", p.into()),
                     ("bound", bound.into()),
@@ -187,16 +212,16 @@ impl BoundMonitor {
                     ("tolerance", self.tolerance.into()),
                 ],
             );
-            registry.counter("obs.bound_violations").add(violations);
+            registry.counter("obs.bound_violations").add(v.violations);
             let session_label = session.to_string();
             registry
                 .counter(&labeled(
                     "obs.bound_violations.by_series",
                     &[("session", &session_label), ("kind", kind.as_str())],
                 ))
-                .add(violations);
+                .add(v.violations);
         }
-        violations
+        v.violations
     }
 }
 
@@ -332,6 +357,74 @@ mod tests {
             unshifted.check_series(&r, 0, SeriesKind::Delay, &s, 1_000_000, 0),
             1
         );
+    }
+
+    #[test]
+    fn vacuous_bound_never_counts() {
+        // Λ = 50 clamps the curve to 1 up to x = ln 50 ≈ 3.9: even a
+        // certain event with no noise allowance is no violation there…
+        let c = BoundCurve::new(50.0, 1.0);
+        let s = series_from(&[(0.0, 1.0), (3.0, 1.0)]);
+        assert_eq!(verdict(c, &s, u64::MAX, 0.0, 1.0), Verdict::default());
+        // …nor where only the tolerance lifts the bound to 1 or above.
+        let s = series_from(&[(4.0, 1.0)]);
+        assert_eq!(verdict(c, &s, u64::MAX, 0.0, 1.0).violations, 1);
+        assert_eq!(verdict(c, &s, u64::MAX, 0.0, 2.0).violations, 0);
+    }
+
+    #[test]
+    fn verdict_applies_shift_and_tolerance() {
+        let c = BoundCurve::new(0.9, 2.0);
+        let s = series_from(&[(1.0, 0.5)]);
+        let v = verdict(c, &s, 1_000_000, 0.0, 1.0);
+        assert_eq!(v.violations, 1);
+        let (x, p, bound) = v.worst.expect("worst point");
+        assert_eq!((x, p), (1.0, 0.5));
+        assert!((bound - 0.9 * (-2.0f64).exp()).abs() < 1e-15);
+        // Evaluated at d - 1 = 0 the bound is 0.9 ≥ p.
+        assert_eq!(verdict(c, &s, 1_000_000, 1.0, 1.0).violations, 0);
+        // Scaling by 5 lifts the bound to ≈ 0.61 ≥ p.
+        assert_eq!(verdict(c, &s, 1_000_000, 0.0, 5.0).violations, 0);
+        // The worst point is the one with the largest excess.
+        let s = series_from(&[(1.0, 0.2), (2.0, 0.3), (3.0, 0.1)]);
+        let v = verdict(c, &s, 1_000_000, 0.0, 1.0);
+        assert_eq!(v.violations, 3);
+        assert_eq!(v.worst.map(|w| w.0), Some(2.0));
+    }
+
+    #[test]
+    fn delay_verdict_is_weighted_by_its_own_samples() {
+        // 1,000 clearing samples over 10⁶ slots: p = 0.15 against a
+        // bound of e^{-2} ≈ 0.135 is within 3σ of the delay samples
+        // (σ ≈ 0.011) but not of the slot count.
+        let c = BoundCurve::new(1.0, 1.0);
+        let s = series_from(&[(2.0, 0.15)]);
+        let (delay_samples, slots) = (1_000, 1_000_000);
+        assert_eq!(verdict(c, &s, delay_samples, 0.0, 1.0).violations, 0);
+        assert_eq!(verdict(c, &s, slots, 0.0, 1.0).violations, 1);
+    }
+
+    #[test]
+    fn check_series_reports_the_verdict_count() {
+        let c = BoundCurve::new(0.5, 0.5);
+        let m = at_tolerance(
+            vec![SessionCurves {
+                backlog: Some(c),
+                delay: Some(c),
+                delay_shift: 1.0,
+            }],
+            1.5,
+        );
+        let s = series_from(&[(0.0, 0.9), (1.0, 0.7), (2.0, 0.4), (4.0, 0.3)]);
+        for samples in [10, 1_000, 1_000_000] {
+            for (kind, shift) in [(SeriesKind::Backlog, 0.0), (SeriesKind::Delay, 1.0)] {
+                let r = Registry::new();
+                let expected = verdict(c, &s, samples, shift, 1.5).violations;
+                assert_eq!(m.judge(0, kind, &s, samples).violations, expected);
+                assert_eq!(m.check_series(&r, 0, kind, &s, samples, 0), expected);
+                assert_eq!(r.counter("obs.bound_violations").get(), expected);
+            }
+        }
     }
 
     #[test]

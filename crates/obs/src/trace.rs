@@ -632,11 +632,13 @@ mod tests {
         }
     }
 
-    fn exclusive(mode: TraceMode) -> (std::sync::MutexGuard<'static, ()>, ModeGuard) {
+    // Tuple fields drop in order: the mode is restored before the lock
+    // is released, so the next test cannot see this one's teardown.
+    fn exclusive(mode: TraceMode) -> (ModeGuard, std::sync::MutexGuard<'static, ()>) {
         let lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         configure(mode);
-        (lock, ModeGuard)
+        (ModeGuard, lock)
     }
 
     #[test]

@@ -281,13 +281,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn no_retry() -> Self {
-        Self { max_attempts: 1 }
-    }
-}
-
 /// Cached handles for the supervision counters (see crate docs).
 struct SupervisionCounters {
     panicked: gps_obs::Counter,
@@ -764,7 +757,7 @@ mod tests {
                 threads,
                 None,
                 &items,
-                RetryPolicy::no_retry(),
+                RetryPolicy { max_attempts: 1 },
                 || (),
                 |_, _, _, &x| {
                     if x == 7 {

@@ -37,7 +37,7 @@ fn timing_mode_publishes_worker_accounts() {
         "max/mean busy ratio is at least 1"
     );
     // Every worker has a full account: busy + wait + idle and the chunk
-    // tally. Worker 0 always claims at least one chunk.
+    // tally.
     for w in 0..4 {
         for field in ["busy_ns", "wait_ns", "idle_ns", "chunks"] {
             let name = format!("par.worker.{field}{{worker={w}}}");
@@ -48,7 +48,13 @@ fn timing_mode_publishes_worker_accounts() {
             );
         }
     }
-    assert!(gauge("par.worker.chunks{worker=0}").unwrap_or(0.0) >= 1.0);
+    // Each chunk is tallied to exactly one worker. Which worker claims it
+    // is up to the scheduler: on a loaded host worker 0 may claim none.
+    let tallied: f64 = (0..4)
+        .map(|w| gauge(&format!("par.worker.chunks{{worker={w}}}")).unwrap_or(0.0))
+        .sum();
+    let chunks = items.len().div_ceil(gps_par::chunk_size(items.len(), 4));
+    assert_eq!(tallied, chunks as f64);
     // The per-chunk span fed the max/mean chunk wall-clock stats.
     let chunk_stats = snap.spans.iter().find(|(n, _)| n == "par/chunk");
     assert!(chunk_stats.is_some(), "par/chunk span stats missing");

@@ -63,7 +63,7 @@ pub fn run_ct_fluid(sources: &[CtmcFluidSource], config: &CtRunConfig) -> CtRunR
     let _run_span = gps_obs::span("sim/run_ct_fluid");
 
     let seeds = SeedSequence::new(config.seed);
-    let mut rngs: Vec<_> = (0..n).map(|i| seeds.rng("ct-source", i as u64)).collect();
+    let mut rngs: Vec<_> = (0..n).map(|i| seeds.rng("ct", i as u64)).collect();
     let mut srcs: Vec<CtmcFluidSource> = sources.to_vec();
     let mut sim = RateFluidGps::new(config.phis.clone(), config.capacity);
     let mut next_change = vec![0.0_f64; n];
@@ -81,11 +81,10 @@ pub fn run_ct_fluid(sources: &[CtmcFluidSource], config: &CtRunConfig) -> CtRunR
     let mut samples = 0u64;
 
     loop {
-        let (i_min, t_event) = next_change
+        let (i_min, &t_event) = next_change
             .iter()
             .enumerate()
-            .map(|(i, &t)| (i, t))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
             .expect("nonempty");
         while t_sample <= t_event.min(config.horizon) {
             sim.advance_to(t_sample);

@@ -650,7 +650,7 @@ impl Coordinator {
 
     /// All replication reports in ascending replication order — the
     /// merge input. Errors unless the campaign is complete.
-    pub fn completed_reports(&self) -> Result<Vec<SingleNodeRunReport>, SimError> {
+    fn completed_reports(&self) -> Result<Vec<SingleNodeRunReport>, SimError> {
         if self.completed.len() as u64 != self.spec.replications {
             return Err(SimError::Checkpoint(format!(
                 "campaign incomplete: {} of {} replications",

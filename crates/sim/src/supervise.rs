@@ -66,6 +66,7 @@ use gps_ebb::numeric::NumericError;
 use gps_obs::json::{self, Json};
 use gps_obs::metrics::{labeled, Registry};
 use gps_obs::monitor::BoundMonitor;
+use gps_obs::{fnv1a, FNV_OFFSET};
 use gps_par::{RetryPolicy, TaskOutcome, TaskReport};
 use gps_sources::spectral::ConvergenceError;
 use gps_sources::SlotSource;
@@ -283,12 +284,6 @@ impl Supervisor {
         self.inject = inject;
         self
     }
-
-    /// Sets the per-replication streaming hook.
-    pub fn with_on_complete(mut self, hook: OnComplete) -> Self {
-        self.on_complete = Some(hook);
-        self
-    }
 }
 
 /// Result of a supervised campaign: one [`TaskReport`] per replication
@@ -317,18 +312,6 @@ impl<R: Clone> CampaignOutcome<R> {
 // ---------------------------------------------------------------------
 // Config fingerprints
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn push_f64s(out: &mut String, label: &str, values: &[f64]) {
     out.push_str(label);
     out.push(':');
@@ -348,7 +331,7 @@ pub fn fingerprint_single_node(cfg: &SingleNodeRunConfig) -> u64 {
     s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
     push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
     push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
-    fnv1a(&s)
+    fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -936,7 +919,7 @@ impl Replication for Network {
         s.push_str(&format!("warmup:{};measure:{};", cfg.warmup, cfg.measure));
         push_f64s(&mut s, "backlog_grid", &cfg.backlog_grid);
         push_f64s(&mut s, "delay_grid", &cfg.delay_grid);
-        fnv1a(&s)
+        fnv1a(FNV_OFFSET, s.as_bytes())
     }
 
     fn to_json(report: &NetworkRunReport) -> Json {

@@ -218,20 +218,25 @@ for run in net kill; do
     cmp "$dist/ref/campaignd_overload_metrics.json" "$dist/$run/campaignd_overload_metrics.json"
 done
 
-# Committed campaign artifacts: regenerating the single-node and network
-# validation campaigns and the in-process overload campaign must
-# reproduce the committed CSV and metrics files byte for byte.
-echo "==> committed campaign artifacts regenerate byte-identically"
+# Committed experiment artifacts: regenerating every experiment binary's
+# outputs and the in-process overload campaign must reproduce each
+# tracked results/*.csv and *_metrics.json byte for byte. Left out:
+# campaignd_metrics.json (written by an HTTP run, whose request counters
+# depend on worker polling) and the manifests (they hold wall-clock
+# timing).
+echo "==> committed experiment artifacts regenerate byte-identically"
 regen="$(mktemp -d)"
 trap 'rm -rf "$adm" "$tr_a" "$tr_b" "$sup_a" "$sup_b" "$dist" "$regen"' EXIT
 regen_env=(env -u GPS_MEASURE_SLOTS -u GPS_CAMPAIGN_WARMUP -u GPS_CAMPAIGN_MEASURE
     GPS_RESULTS_DIR="$regen")
-"${regen_env[@]}" ./target/release/validate_single --quiet > /dev/null
-"${regen_env[@]}" ./target/release/validate_network --quiet > /dev/null
+for bin in ablation_holder ablation_partition ablation_xi admission disciplines fig3 fig4 \
+    pgps_network rho_sweep table1 table2 validate_continuous validate_network validate_single; do
+    "${regen_env[@]}" "./target/release/$bin" --quiet > /dev/null
+done
 "${regen_env[@]}" ./target/release/campaignd --local 2 --scenario overload --quiet > /dev/null
-for art in validate_single validate_network campaignd_overload; do
-    cmp "results/$art.csv" "$regen/$art.csv"
-    cmp "results/${art}_metrics.json" "$regen/${art}_metrics.json"
+for art in $(git ls-files 'results/*.csv' 'results/*_metrics.json'); do
+    [ "$art" = results/campaignd_metrics.json ] && continue
+    cmp "$art" "$regen/$(basename "$art")"
 done
 
 # Bench-history ledger: every pinned bench snapshot must have at least
